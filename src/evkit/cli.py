@@ -25,7 +25,7 @@ import numpy as np
 
 from . import augment as augmod
 from . import codec, detmetrics, sampler
-from .errors import BadHeader, EvkitError
+from .errors import BadHeader, EvkitError, ParseError
 from .event_core import EventStream, SensorGeometry, partition_windows, slice_window
 from .geometry import downscale, map_boxes, pad_to_multiple
 from .representation import (
@@ -272,14 +272,16 @@ def _read_index(frames_dir: Path) -> list[dict]:
     index_path = frames_dir / "index.txt"
     entries = []
     if index_path.exists():
-        for line in index_path.read_text(encoding="ascii").splitlines():
-            line = line.strip()
-            if not line:
+        lines = index_path.read_text(encoding="ascii").splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
                 continue
-            fields = dict(tok.split("=", 1) for tok in line.split())
-            entries.append(
-                {"file": fields["file"], "t0": int(fields["t0"]), "t1": int(fields["t1"])}
-            )
+            fields = codec.parse_fields(line, lineno, ("file", "t0", "t1"))
+            try:
+                t0, t1 = int(fields["t0"]), int(fields["t1"])
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from exc
+            entries.append({"file": fields["file"], "t0": t0, "t1": t1})
         return entries
     for k, path in enumerate(sorted(frames_dir.glob("*.evf"))):
         entries.append({"file": path.name, "t0": k, "t1": k + 1})

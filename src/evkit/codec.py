@@ -18,6 +18,7 @@ line) so golden files stay diffable.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from os import PathLike
@@ -33,7 +34,7 @@ from .errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from .event_core import EventStream, SensorGeometry, validate_stream
+from .event_core import EventStream, SensorGeometry
 
 EVS_MAGIC = b"EVS1"
 EVS_HEADER_SIZE = 20
@@ -205,27 +206,30 @@ def format_box(box: AnnotatedBox) -> str:
     )
 
 
-def parse_box(line: str, lineno: int = 0) -> AnnotatedBox:
+def parse_fields(line: str, lineno: int, required: Sequence[str]) -> dict[str, str]:
+    """Split key=value tokens; ParseError on a bare token or a missing key."""
     fields = {}
     for token in line.split():
         key, sep, value = token.partition("=")
         if not sep:
             raise ParseError(lineno, f"token {token!r} is not key=value")
         fields[key] = value
-    missing = [k for k in _ANN_KEYS if k not in fields]
+    missing = [k for k in required if k not in fields]
     if missing:
         raise ParseError(lineno, f"missing fields {missing}")
+    return fields
+
+
+def parse_box(line: str, lineno: int = 0) -> AnnotatedBox:
+    fields = parse_fields(line, lineno, _ANN_KEYS)
     try:
         track = None if fields["track"] == "-" else int(fields["track"])
+        x, y, w, h, score = (float(fields[k]) for k in ("x", "y", "w", "h", "score"))
+        if not all(map(math.isfinite, (x, y, w, h, score))):
+            raise ParseError(lineno, "x, y, w, h and score must be finite")
         return AnnotatedBox(
-            t=int(fields["t"]),
-            x=float(fields["x"]),
-            y=float(fields["y"]),
-            w=float(fields["w"]),
-            h=float(fields["h"]),
-            class_id=int(fields["class"]),
-            score=float(fields["score"]),
-            track_id=track,
+            t=int(fields["t"]), x=x, y=y, w=w, h=h,
+            class_id=int(fields["class"]), score=score, track_id=track,
         )
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from exc

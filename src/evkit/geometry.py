@@ -1,10 +1,18 @@
 """Resolution normalization and the affine carrier for all geometric ops.
 
 Downscaling uses the pixel-center ("half-pixel") sampling convention: output
-pixel d reads the source at s = (d + 0.5) * factor - 0.5 per axis.  Bicubic
-uses the Catmull-Rom kernel (a = -0.5) with edge clamping; nearest rounds
-half toward the top-left source.  Padding is zeros on the bottom/right only,
-so box coordinates never need an offset.
+pixel d reads the source at s = (d + 0.5) * factor - 0.5 per axis.  With an
+integer factor, s - floor(s) is the same for every d, so each method is a
+few fixed taps per axis, each a strided slice [first::factor] times a weight:
+
+* odd factor: s is a pixel center and every method is that one pixel;
+* even factor: s lies halfway between two pixels.  Nearest takes the
+  top-left one, bilinear weighs both by 1/2, and bicubic (Catmull-Rom,
+  a = -0.5) weighs four by -1/16, 9/16, 9/16, -1/16.  Only bicubic at
+  factor 2 reads past an edge; those reads clamp to the edge pixel.
+
+Padding is zeros on the bottom/right only, so box coordinates never need an
+offset.
 """
 
 from __future__ import annotations
@@ -99,36 +107,12 @@ class AffineTransform:
         return pts @ self.matrix[:, :2].T + self.matrix[:, 2]
 
 
-def _kernel_taps(size_in: int, size_out: int, factor: int, method: str):
-    """Per-output-pixel source indices (T, out) and weights for one axis."""
-    d = np.arange(size_out, dtype=np.float64)
-    s = (d + 0.5) * factor - 0.5
-    if method == "nearest":
-        # round half toward the top-left source pixel
-        idx = np.ceil(s - 0.5).astype(np.int64)
-        return np.clip(idx, 0, size_in - 1)[None, :], np.ones((1, size_out))
-    base = np.floor(s).astype(np.int64)
-    frac = s - base
-    if method == "bilinear":
-        offsets = np.array([0, 1])
-        weights = np.stack([1.0 - frac, frac])
-    elif method == "bicubic":
-        offsets = np.array([-1, 0, 1, 2])
-        weights = np.stack([_catmull_rom(frac + 1), _catmull_rom(frac),
-                            _catmull_rom(1 - frac), _catmull_rom(2 - frac)])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    idx = np.clip(base[None, :] + offsets[:, None], 0, size_in - 1)
-    return idx, weights
-
-
-def _catmull_rom(u: np.ndarray, a: float = -0.5) -> np.ndarray:
-    u = np.abs(u)
-    return np.where(
-        u <= 1.0,
-        (a + 2.0) * u**3 - (a + 3.0) * u**2 + 1.0,
-        np.where(u < 2.0, a * (u**3 - 5.0 * u**2 + 8.0 * u - 4.0), 0.0),
-    )
+# Even-factor taps as (offset from factor // 2, weight); see the module docstring.
+_EVEN_FACTOR_TAPS = {
+    "nearest": ((-1, 1.0),),
+    "bilinear": ((-1, 0.5), (0, 0.5)),
+    "bicubic": ((-2, -1 / 16), (-1, 9 / 16), (0, 9 / 16), (1, -1 / 16)),
+}
 
 
 def downscale(frame: FrameTensor, factor: int, method: str = "bilinear") -> FrameTensor:
@@ -138,15 +122,27 @@ def downscale(frame: FrameTensor, factor: int, method: str = "bilinear") -> Fram
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    c, height, width = frame.shape
+    _, height, width = frame.shape
     if height % factor or width % factor:
         raise NotDivisible(f"{height}x{width} not divisible by {factor}")
-    values = frame.values.astype(np.float64)
-    if factor > 1:
-        idx_w, w_w = _kernel_taps(width, width // factor, factor, method)
-        values = np.einsum("td,chtd->chd", w_w, values[:, :, idx_w], optimize=True)
-        idx_h, w_h = _kernel_taps(height, height // factor, factor, method)
-        values = np.einsum("td,ctdw->cdw", w_h, values[:, idx_h, :], optimize=True)
+    if method not in _EVEN_FACTOR_TAPS:
+        raise ValueError(f"unknown method {method!r}")
+    # Tap (first, weight) reads source pixel first + d * factor for output d.
+    offsets = _EVEN_FACTOR_TAPS[method] if factor % 2 == 0 else ((0, 1.0),)
+    taps = [(factor // 2 + offset, weight) for offset, weight in offsets]
+    # One edge pad of the input clamps the reads past an edge on both axes.
+    lo, hi = max(0, -taps[0][0]), max(0, taps[-1][0] - factor + 1)
+    values = frame.values
+    if lo or hi:
+        values = np.pad(values, ((0, 0), (lo, hi), (lo, hi)), mode="edge")
+    for axis, size in ((2, width), (1, height)):
+        index = [slice(None)] * 3
+        total = None
+        for first, weight in taps:
+            index[axis] = slice(lo + first, lo + first + size, factor)
+            term = np.multiply(values[tuple(index)], weight, dtype=np.float64)
+            total = term if total is None else np.add(total, term, out=total)
+        values = total
     return FrameTensor(values.astype(np.float32))
 
 

@@ -235,11 +235,3 @@ def event_rate_stats(stream: EventStream) -> dict:
         "max_per_pixel": int(per_pixel.max()),
     }
 
-
-def rate_suffix(rate: float) -> str:
-    """Human-readable events/second, e.g. '12.3 Mev/s'."""
-    if rate >= 1e6:
-        return f"{rate / 1e6:.1f} Mev/s"
-    if rate >= 1e3:
-        return f"{rate / 1e3:.1f} kev/s"
-    return f"{rate:.1f} ev/s"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import parse_fields
 from .errors import EmptyDataset, ParseError
 
 
@@ -150,7 +151,7 @@ def parse_plan(text: str) -> list[Batch]:
         line = line.strip()
         if not line:
             continue
-        fields = _parse_fields(line, lineno, ("batch", "slot", "seq", "start",
+        fields = parse_fields(line, lineno, ("batch", "slot", "seq", "start",
                                               "len", "reset", "pad"))
         try:
             b = int(fields["batch"])
@@ -178,7 +179,7 @@ def read_sequence_index(path) -> list[SequenceIndex]:
             line = line.strip()
             if not line:
                 continue
-            fields = _parse_fields(line, lineno, ("seq", "frames"))
+            fields = parse_fields(line, lineno, ("seq", "frames"))
             flags = fields.get("annotated", "-")
             try:
                 annotated = None if flags == "-" else tuple(ch == "1" for ch in flags)
@@ -195,16 +196,3 @@ def write_sequence_index(path, indices: list[SequenceIndex]) -> None:
         lines.append(f"seq={ix.seq_id} frames={ix.n_frames} annotated={flags}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("".join(line + "\n" for line in lines))
-
-
-def _parse_fields(line: str, lineno: int, required: tuple[str, ...]) -> dict:
-    fields = {}
-    for token in line.split():
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise ParseError(lineno, f"token {token!r} is not key=value")
-        fields[key] = value
-    missing = [k for k in required if k not in fields]
-    if missing:
-        raise ParseError(lineno, f"missing fields {missing}")
-    return fields

@@ -235,8 +235,11 @@ def load_params(blob: bytes, manifest: str) -> ConvLSTMParams:
         w_x, w_h, bias = tensors["w_x"], tensors["w_h"], tensors["bias"]
     except KeyError as exc:
         raise ParseError(0, f"manifest is missing tensor {exc}") from exc
-    four_m, d, k, _ = w_x.shape
-    return ConvLSTMParams(k, d, four_m // 4, w_x, w_h, bias, tensors.get("proj"))
+    try:
+        four_m, d, k, _ = w_x.shape
+        return ConvLSTMParams(k, d, four_m // 4, w_x, w_h, bias, tensors.get("proj"))
+    except ValueError as exc:
+        raise ShapeMismatch(f"bad parameter shapes: {exc}") from exc
 
 
 def save_state(state: ConvLSTMState) -> tuple[bytes, str]:
@@ -249,3 +252,5 @@ def load_state(blob: bytes, manifest: str) -> ConvLSTMState:
         return ConvLSTMState(tensors["h"], tensors["c"])
     except KeyError as exc:
         raise ParseError(0, f"manifest is missing tensor {exc}") from exc
+    except ValueError as exc:
+        raise ShapeMismatch(f"bad state shapes: {exc}") from exc

@@ -319,6 +319,21 @@ class TestErrors:
         assert rc == 1
         assert "error code=TruncatedFile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "window=0 t0=0 t1=50000 partial=0",  # no file=
+        "window=0 t0=0 t1=50000 file=frame_000000.evf stray",
+        "window=0 t0=zero t1=50000 file=frame_000000.evf",
+    ])
+    def test_malformed_index_is_parse_error(self, tmp_path, capsys, line):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "index.txt").write_text(line + "\n")
+        rc = cli.main(["augment", str(frames), "--output", str(tmp_path / "aug")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error code=ParseError")
+
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         rec = tmp_path / "rec.evs"
         synth_recording(rec, n=200)

@@ -147,6 +147,19 @@ class TestAnnotations:
             codec.read_annotations(path)
         assert exc.value.index == 1
 
+    @pytest.mark.parametrize("line", [
+        "t=1 x=nan y=0 w=inf h=2 class=0 score=1.0 track=-",
+        "t=1 x=0 y=-inf w=2 h=2 class=0 score=1.0 track=-",
+        "t=1 x=0 y=0 w=2 h=nan class=0 score=1.0 track=-",
+        "t=1 x=0 y=0 w=2 h=2 class=0 score=nan track=-",
+    ])
+    def test_non_finite_is_parse_error(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text("t=0 x=0 y=0 w=2 h=2 class=0 score=1.0 track=-\n" + line + "\n")
+        with pytest.raises(ParseError) as exc:
+            codec.read_annotations(path)
+        assert exc.value.index == 2
+
     def test_missing_field_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("t=1 x=0.0\n")

@@ -61,7 +61,7 @@ class TestDownscale:
         assert np.allclose(out.values, expected, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("factor", (2, 4))
+    @pytest.mark.parametrize("factor", (1, 2, 3, 4))
     def test_matches_naive_many_sizes(self, rng, method, factor):
         for _ in range(10):
             h = int(rng.integers(1, 9)) * factor
@@ -74,6 +74,15 @@ class TestDownscale:
                                 factor, method)
             )
             assert np.allclose(out.values, expected, rtol=1e-6, atol=1e-6)
+        # Dyadic weights on integer counts leave no rounding: exact equality.
+        for _ in range(10):
+            h = int(rng.integers(1, 9)) * factor
+            w = int(rng.integers(1, 9)) * factor
+            c = int(rng.integers(1, 4))
+            counts = rng.integers(0, 65536, (c, h, w)).astype(np.uint16)
+            out = downscale(FrameTensor(counts), factor, method)
+            expected = np.array(naive_downscale(counts, factor, method), dtype=np.float32)
+            assert np.array_equal(out.values, expected)
 
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):

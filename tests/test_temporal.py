@@ -217,6 +217,16 @@ class TestParamsIO:
         assert np.array_equal(again.h, state.h)
         assert np.array_equal(again.c, state.c)
 
+    def test_bad_shapes_are_shape_mismatch(self):
+        blob, manifest = save_params(ConvLSTMParams.zeros(2, 2, 1))
+        for bad in (manifest.replace("w_x 8 2 1 1", "w_x 8 2"),
+                    manifest.replace("w_h 8 2 1 1", "w_h 4 4 1 1")):
+            with pytest.raises(ShapeMismatch):
+                load_params(blob, bad)
+        blob, manifest = save_state(ConvLSTMState(np.zeros((2, 3, 4)), np.zeros((2, 3, 4))))
+        with pytest.raises(ShapeMismatch):
+            load_state(blob, manifest.replace("c 2 3 4", "c 2 4 3"))
+
     def test_truncated_blob_rejected(self):
         params = ConvLSTMParams.zeros(2, 2, 1)
         blob, manifest = save_params(params)
