@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from . import augment as augmod
 from . import codec, detmetrics, sampler
 from .errors import BadHeader, EvkitError, ParseError
 from .event_core import EventStream, SensorGeometry, partition_windows, slice_window
-from .geometry import downscale, map_boxes, pad_to_multiple
+from .geometry import EVEN_FACTOR_TAPS, downscale, map_boxes, pad_to_multiple
 from .representation import (
     StackedHistogramConfig,
     event_rate_stats,
@@ -35,22 +36,6 @@ from .representation import (
     stacked_histogram,
     write_evf,
 )
-
-
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    width: int
-    height: int
-    downscale_factor: int
-    pad_multiple: int
-    clip_len: int
-
-
-PRESETS = {
-    "gen1-like": Preset("gen1-like", 304, 240, 1, 32, 21),
-    "gen4-like": Preset("gen4-like", 1280, 720, 2, 32, 10),
-}
 
 
 @dataclass(frozen=True)
@@ -68,32 +53,45 @@ class PipelineConfig:
     eval: detmetrics.EvalConfig = detmetrics.EvalConfig()
     seed: int = 0
     threads: int = 1
-    keep_partial: bool = True
 
     def __post_init__(self):
+        for name in ("downscale_factor", "pad_multiple", "clip_len", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.downscale_method not in EVEN_FACTOR_TAPS:
+            raise ValueError(f"unknown downscale_method {self.downscale_method!r}")
         if self.geometry.height % self.downscale_factor or \
                 self.geometry.width % self.downscale_factor:
             raise ValueError("preset geometry must be divisible by the downscale factor")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
-def from_preset(name: str) -> PipelineConfig:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; options: {sorted(PRESETS)}")
-    p = PRESETS[name]
-    return PipelineConfig(
-        preset=p.name,
-        geometry=SensorGeometry(p.width, p.height),
-        downscale_factor=p.downscale_factor,
-        pad_multiple=p.pad_multiple,
-        clip_len=p.clip_len,
-    )
+PRESETS = {
+    "gen1-like": PipelineConfig(),
+    "gen4-like": PipelineConfig(preset="gen4-like", geometry=SensorGeometry(1280, 720),
+                                downscale_factor=2, clip_len=10),
+}
 
 
-def _opt(section, key, conv):
-    raw = section.get(key, "").strip()
-    return conv(raw) if raw else None
+def _geometry(raw: str) -> SensorGeometry:
+    width, _, height = raw.partition("x")
+    return SensorGeometry(int(width), int(height))
+
+
+# Config file keys: section -> key -> parser of a non-empty value.  A key names
+# the field it sets, except [histogram] t_frame_us and the [augment] range halves.
+_KEYS = {
+    "pipeline": {"preset": str, "geometry": _geometry, "downscale_method": str,
+                 **dict.fromkeys(("downscale_factor", "pad_multiple", "clip_len",
+                                  "n_random", "n_sequential", "seed", "threads"), int)},
+    "histogram": {"t_frame_us": int, "n_bins": int, "clip_limit": int},
+    "augment": dict.fromkeys(
+        ("hflip_p", "rotate_p", "rotate_deg", "translate_p", "translate_frac", "scale_p",
+         "scale_range_min", "scale_range_max", "shear_p", "shear_deg", "erase_p",
+         "erase_area_min", "erase_area_max", "erase_ratio_min", "erase_ratio_max",
+         "min_box_area", "min_box_visibility"), float),
+    "eval": {"class_ids": lambda raw: tuple(int(c) for c in raw.split(",")),
+             "min_diagonal": float, "skip_initial_us": int, "time_tolerance_us": int},
+}
 
 
 def load_config(
@@ -102,66 +100,48 @@ def load_config(
     seed: int | None = None,
     threads: int | None = None,
 ) -> PipelineConfig:
-    """Assemble the pipeline config: preset defaults, then file, then flags."""
-    parser = configparser.ConfigParser()
-    if path is not None:
-        with open(path, "r", encoding="ascii") as fh:
-            parser.read_file(fh)
-    pipe = parser["pipeline"] if parser.has_section("pipeline") else {}
-    cfg = from_preset(preset or pipe.get("preset", "gen1-like"))
+    """Assemble the pipeline config: preset defaults, then file, then flags.
 
-    updates: dict = {}
-    if parser.has_section("pipeline"):
-        for key in ("downscale_factor", "pad_multiple", "clip_len", "n_random",
-                    "n_sequential", "seed", "threads"):
-            v = _opt(pipe, key, int)
-            if v is not None:
-                updates[key] = v
-        if pipe.get("downscale_method"):
-            updates["downscale_method"] = pipe["downscale_method"].strip()
-        geom = _opt(pipe, "geometry", str)
-        if geom:
-            w, _, h = geom.partition("x")
-            updates["geometry"] = SensorGeometry(int(w), int(h))
-    if parser.has_section("histogram"):
-        sec = parser["histogram"]
-        updates["hist"] = StackedHistogramConfig(
-            t_frame=_opt(sec, "t_frame_us", int) or 50_000,
-            n_bins=_opt(sec, "n_bins", int) or 10,
-            clip_limit=_opt(sec, "clip_limit", int),
-        )
-    if parser.has_section("augment"):
-        sec = parser["augment"]
-        base = augmod.AugmentConfig()
-        kwargs = {}
-        for key in ("hflip_p", "rotate_p", "rotate_deg", "translate_p", "translate_frac",
-                    "scale_p", "shear_p", "shear_deg", "erase_p",
-                    "min_box_area", "min_box_visibility"):
-            v = _opt(sec, key, float)
-            if v is not None:
-                kwargs[key] = v
-        for key in ("scale_range", "erase_area", "erase_ratio"):
-            lo = _opt(sec, key + "_min", float)
-            hi = _opt(sec, key + "_max", float)
-            if lo is not None or hi is not None:
-                default = getattr(base, key)
-                kwargs[key] = (lo if lo is not None else default[0],
-                               hi if hi is not None else default[1])
-        updates["augment"] = replace(base, **kwargs)
-    if parser.has_section("eval"):
-        sec = parser["eval"]
-        classes = _opt(sec, "class_ids", str)
-        updates["eval"] = detmetrics.EvalConfig(
-            class_ids=tuple(int(c) for c in classes.split(",")) if classes else None,
-            min_diagonal=_opt(sec, "min_diagonal", float),
-            skip_initial_us=_opt(sec, "skip_initial_us", int),
-            time_tolerance_us=_opt(sec, "time_tolerance_us", int) or 0,
-        )
-    if seed is not None:
-        updates["seed"] = seed
-    if threads is not None:
-        updates["threads"] = threads
-    return replace(cfg, **updates)
+    Every key in the file goes through `_KEYS`; an empty value leaves its key
+    unset.  The config dataclasses check the parsed values themselves.
+    """
+    values: dict[str, dict] = {section: {} for section in _KEYS}
+    if path is not None:
+        # No section is special: [DEFAULT] is an unknown section like any other.
+        parser = configparser.ConfigParser(default_section="", interpolation=None)
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                parser.read_file(fh)
+        except configparser.Error as exc:
+            # A duplicate or a missing header carries `lineno`, other syntax errors `errors`.
+            lineno = getattr(exc, "lineno", None) or getattr(exc, "errors", [(0,)])[0][0]
+            raise ParseError(lineno, str(exc)) from exc
+        for section in parser.sections():
+            if section not in _KEYS:
+                raise ValueError(f"{path}: unknown section [{section}]")
+            for key, raw in parser[section].items():
+                if key not in _KEYS[section]:
+                    raise ValueError(f"{path}: unknown key {key!r} in [{section}]; "
+                                     f"accepted: {', '.join(_KEYS[section])}")
+                if not raw:
+                    continue
+                value = values[section][key] = _KEYS[section][key](raw)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{path}: [{section}] {key} = {raw} is not finite")
+    pipe, hist, aug, ev = values.values()
+    flags = {"preset": preset, "seed": seed, "threads": threads}
+    pipe.update((key, value) for key, value in flags.items() if value is not None)
+    name = pipe.setdefault("preset", "gen1-like")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; options: {sorted(PRESETS)}")
+    cfg = PRESETS[name]
+    if "t_frame_us" in hist:
+        hist["t_frame"] = hist.pop("t_frame_us")
+    for field in ("scale_range", "erase_area", "erase_ratio"):
+        lo, hi = getattr(cfg.augment, field)
+        aug[field] = (aug.pop(f"{field}_min", lo), aug.pop(f"{field}_max", hi))
+    return replace(cfg, **pipe, hist=replace(cfg.hist, **hist),
+                   augment=replace(cfg.augment, **aug), eval=replace(cfg.eval, **ev))
 
 
 # --- shared input helpers ---------------------------------------------------------
@@ -197,7 +177,7 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
     t_begin = time.perf_counter()
     stream = read_recording(args.input, cfg.geometry)
     windows = partition_windows(stream, cfg.hist.t_frame, t_start=args.t_start)
-    if not cfg.keep_partial or args.drop_partial:
+    if args.drop_partial:
         windows = [w for w in windows if not w.partial]
 
     boxes: list[codec.AnnotatedBox] = []
@@ -268,23 +248,18 @@ def cmd_stats(args, cfg: PipelineConfig) -> int:
 
 
 def _read_index(frames_dir: Path) -> list[dict]:
-    """Window index entries; falls back to a bare directory listing."""
+    """Window index entries of a directory written by convert."""
     index_path = frames_dir / "index.txt"
+    if not index_path.is_file():
+        raise BadHeader(f"no window index {index_path}")
     entries = []
-    if index_path.exists():
-        lines = index_path.read_text(encoding="ascii").splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            fields = codec.parse_fields(line, lineno, ("file", "t0", "t1"))
-            try:
-                t0, t1 = int(fields["t0"]), int(fields["t1"])
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from exc
-            entries.append({"file": fields["file"], "t0": t0, "t1": t1})
-        return entries
-    for k, path in enumerate(sorted(frames_dir.glob("*.evf"))):
-        entries.append({"file": path.name, "t0": k, "t1": k + 1})
+    for lineno, line in codec.read_lines(index_path):
+        fields = codec.parse_fields(line, lineno, ("file", "t0", "t1"))
+        try:
+            t0, t1 = int(fields["t0"]), int(fields["t1"])
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from exc
+        entries.append({"file": fields["file"], "t0": t0, "t1": t1})
     return entries
 
 

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from os import PathLike
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -76,6 +76,10 @@ class AnnotatedBox:
     track_id: int | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.w, self.h))):
+            raise ValueError(
+                f"x, y, w and h must be finite, got {self.x}, {self.y}, {self.w}, {self.h}"
+            )
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box size must be positive, got {self.w}x{self.h}")
         if not 0.0 <= self.score <= 1.0:
@@ -112,9 +116,15 @@ def evs_header(data: bytes) -> RecordingHeader:
     width = int(np.frombuffer(data, "<u4", count=1, offset=4)[0])
     height = int(np.frombuffer(data, "<u4", count=1, offset=8)[0])
     count = int(np.frombuffer(data, "<u8", count=1, offset=12)[0])
-    if width < 1 or height < 1:
-        raise BadHeader(f"bad geometry {width}x{height}")
-    return RecordingHeader(SensorGeometry(width, height), count, format_version=1)
+    return RecordingHeader(_header_geometry(width, height), count, format_version=1)
+
+
+def _header_geometry(width: int, height: int) -> SensorGeometry:
+    """SensorGeometry from header fields; out-of-range sizes are a BadHeader."""
+    try:
+        return SensorGeometry(width, height)
+    except ValueError as exc:
+        raise BadHeader(str(exc)) from exc
 
 
 def decode_evs(data: bytes) -> EventStream:
@@ -135,17 +145,13 @@ def decode_evs(data: bytes) -> EventStream:
 
 # --- DAT 2.0 reader ----------------------------------------------------------
 
-_DAT_GEOM_KEYS = {
-    b"width": "width",
-    b"height": "height",
-}
-
 
 def decode_dat(data: bytes, geometry: SensorGeometry | None = None) -> EventStream:
     """Decode a DAT 2.0 recording.
 
     Geometry is taken from ``% Width N`` / ``% Height N`` (or
-    ``% geometry WxH``) header comments when present, else from the caller.
+    ``% geometry WxH``) header comments when present, else from the caller;
+    a header that gives only one dimension is a BadHeader.
     Timestamps are 32-bit and are not unwrapped; the recordings this targets
     are far shorter than the ~71-minute wrap period.
     """
@@ -166,8 +172,8 @@ def decode_dat(data: bytes, geometry: SensorGeometry | None = None) -> EventStre
     body = len(data) - pos
     if body % DAT_RECORD_SIZE:
         raise TruncatedFile(f"body of {body} bytes is not a multiple of {DAT_RECORD_SIZE}")
-    if "width" in found and "height" in found:
-        geometry = SensorGeometry(found["width"], found["height"])
+    if found:
+        geometry = _header_geometry(found.get("width", 0), found.get("height", 0))
     elif geometry is None:
         raise BadHeader("no geometry in header and none supplied")
     words = np.frombuffer(data, "<u4", offset=pos).reshape(-1, 2)
@@ -186,11 +192,7 @@ def _parse_dat_header_line(line: bytes, found: dict[str, int]) -> None:
         return
     m = re.match(rb"%\s*(width|height)\s*:?\s*(\d+)", line, re.IGNORECASE)
     if m:
-        key = _DAT_GEOM_KEYS[m.group(1).lower()]
-        value = int(m.group(2))
-        if value < 1:
-            raise BadHeader(f"bad {key} {value}")
-        found[key] = value
+        found[m.group(1).lower().decode()] = int(m.group(2))
 
 
 # --- annotation text format -----------------------------------------------------
@@ -220,13 +222,23 @@ def parse_fields(line: str, lineno: int, required: Sequence[str]) -> dict[str, s
     return fields
 
 
+def read_lines(path: str | PathLike) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank line of an ASCII file."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("ascii").strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(lineno, f"non-ASCII byte at column {exc.start + 1}") from exc
+            if line:
+                yield lineno, line
+
+
 def parse_box(line: str, lineno: int = 0) -> AnnotatedBox:
     fields = parse_fields(line, lineno, _ANN_KEYS)
     try:
         track = None if fields["track"] == "-" else int(fields["track"])
         x, y, w, h, score = (float(fields[k]) for k in ("x", "y", "w", "h", "score"))
-        if not all(map(math.isfinite, (x, y, w, h, score))):
-            raise ParseError(lineno, "x, y, w, h and score must be finite")
         return AnnotatedBox(
             t=int(fields["t"]), x=x, y=y, w=w, h=h,
             class_id=int(fields["class"]), score=score, track_id=track,
@@ -237,13 +249,7 @@ def parse_box(line: str, lineno: int = 0) -> AnnotatedBox:
 
 def read_annotations(path: str | PathLike) -> list[AnnotatedBox]:
     """Read boxes from a text file; returned sorted by timestamp (stable)."""
-    boxes = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            boxes.append(parse_box(line, lineno))
+    boxes = [parse_box(line, lineno) for lineno, line in read_lines(path)]
     boxes.sort(key=lambda b: b.t)
     return boxes
 

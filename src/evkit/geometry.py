@@ -108,7 +108,8 @@ class AffineTransform:
 
 
 # Even-factor taps as (offset from factor // 2, weight); see the module docstring.
-_EVEN_FACTOR_TAPS = {
+# Its keys are the accepted downscale method names.
+EVEN_FACTOR_TAPS = {
     "nearest": ((-1, 1.0),),
     "bilinear": ((-1, 0.5), (0, 0.5)),
     "bicubic": ((-2, -1 / 16), (-1, 9 / 16), (0, 9 / 16), (1, -1 / 16)),
@@ -125,10 +126,10 @@ def downscale(frame: FrameTensor, factor: int, method: str = "bilinear") -> Fram
     _, height, width = frame.shape
     if height % factor or width % factor:
         raise NotDivisible(f"{height}x{width} not divisible by {factor}")
-    if method not in _EVEN_FACTOR_TAPS:
+    if method not in EVEN_FACTOR_TAPS:
         raise ValueError(f"unknown method {method!r}")
     # Tap (first, weight) reads source pixel first + d * factor for output d.
-    offsets = _EVEN_FACTOR_TAPS[method] if factor % 2 == 0 else ((0, 1.0),)
+    offsets = EVEN_FACTOR_TAPS[method] if factor % 2 == 0 else ((0, 1.0),)
     taps = [(factor // 2 + offset, weight) for offset, weight in offsets]
     # One edge pad of the input clamps the reads past an edge on both axes.
     lo, hi = max(0, -taps[0][0]), max(0, taps[-1][0] - factor + 1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import parse_fields
+from .codec import parse_fields, read_lines
 from .errors import EmptyDataset, ParseError
 
 
@@ -155,6 +155,8 @@ def parse_plan(text: str) -> list[Batch]:
                                               "len", "reset", "pad"))
         try:
             b = int(fields["batch"])
+            if b < 0:
+                raise ValueError(f"batch must be >= 0, got {b}")
             entry = ClipEntry(
                 seq_id=None if fields["seq"] == "-" else fields["seq"],
                 start=int(fields["start"]),
@@ -174,18 +176,16 @@ def parse_plan(text: str) -> list[Batch]:
 def read_sequence_index(path) -> list[SequenceIndex]:
     """Read `seq=<id> frames=<n> annotated=<01 bits|->` lines."""
     out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = parse_fields(line, lineno, ("seq", "frames"))
-            flags = fields.get("annotated", "-")
-            try:
-                annotated = None if flags == "-" else tuple(ch == "1" for ch in flags)
-                out.append(SequenceIndex(fields["seq"], int(fields["frames"]), annotated))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from exc
+    for lineno, line in read_lines(path):
+        fields = parse_fields(line, lineno, ("seq", "frames"))
+        flags = fields.get("annotated", "-")
+        if flags != "-" and not set(flags) <= {"0", "1"}:
+            raise ParseError(lineno, f"annotated must be '-' or 0/1 bits, got {flags!r}")
+        try:
+            annotated = None if flags == "-" else tuple(ch == "1" for ch in flags)
+            out.append(SequenceIndex(fields["seq"], int(fields["frames"]), annotated))
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from exc
     return out
 
 

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from evkit import cli, codec
+from evkit.augment import AugmentConfig
+from evkit.detmetrics import EvalConfig
+from evkit.errors import ParseError
 from evkit.event_core import SensorGeometry, partition_windows
-from evkit.representation import read_evf
+from evkit.representation import StackedHistogramConfig, read_evf
 from evkit.sampler import parse_plan
 
 from conftest import make_stream
@@ -334,6 +337,16 @@ class TestErrors:
         assert err.count("\n") == 1
         assert err.startswith("error code=ParseError")
 
+    def test_missing_index_is_bad_header(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "frame_000000.evf").write_bytes(b"")
+        rc = cli.main(["augment", str(frames), "--output", str(tmp_path / "aug")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error code=BadHeader") and "index.txt" in err
+
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         rec = tmp_path / "rec.evs"
         synth_recording(rec, n=200)
@@ -342,3 +355,125 @@ class TestErrors:
         rc = cli.main(["convert", str(rec), "--output", str(out),
                        "--config", str(tiny_config(tmp_path / "cfg.ini"))])
         assert rc == 0
+
+
+FULL_CONFIG = """\
+[pipeline]
+preset = gen4-like
+geometry = 640x480
+downscale_factor = 4
+downscale_method = bicubic
+pad_multiple = 16
+clip_len = 7
+n_random = 3
+n_sequential = 5
+seed = 11
+threads = 2
+
+[histogram]
+t_frame_us = 20000
+n_bins = 5
+clip_limit = 255
+
+[augment]
+hflip_p = 0.1
+rotate_p = 0.2
+rotate_deg = 10.0
+translate_p = 0.3
+translate_frac = 0.25
+scale_p = 0.4
+scale_range_min = 0.75
+scale_range_max = 1.25
+shear_p = 0.5
+shear_deg = 5.0
+erase_p = 0.7
+erase_area_min = 0.05
+erase_area_max = 0.2
+erase_ratio_min = 0.5
+erase_ratio_max = 2.0
+min_box_area = 9.0
+min_box_visibility = 0.3
+
+[eval]
+class_ids = 0,2
+min_diagonal = 30.0
+skip_initial_us = 500000
+time_tolerance_us = 1000
+"""
+
+
+class TestConfig:
+    def test_every_key_reaches_the_config(self, tmp_path):
+        path = tmp_path / "full.ini"
+        path.write_text(FULL_CONFIG)
+        expected = cli.PipelineConfig(
+            preset="gen4-like",
+            geometry=SensorGeometry(640, 480),
+            downscale_factor=4,
+            downscale_method="bicubic",
+            pad_multiple=16,
+            clip_len=7,
+            n_random=3,
+            n_sequential=5,
+            hist=StackedHistogramConfig(t_frame=20_000, n_bins=5, clip_limit=255),
+            augment=AugmentConfig(
+                hflip_p=0.1, rotate_p=0.2, rotate_deg=10.0, translate_p=0.3,
+                translate_frac=0.25, scale_p=0.4, scale_range=(0.75, 1.25),
+                shear_p=0.5, shear_deg=5.0, erase_p=0.7, erase_area=(0.05, 0.2),
+                erase_ratio=(0.5, 2.0), min_box_area=9.0, min_box_visibility=0.3,
+            ),
+            eval=EvalConfig(class_ids=(0, 2), min_diagonal=30.0,
+                            skip_initial_us=500_000, time_tolerance_us=1000),
+            seed=11,
+            threads=2,
+        )
+        assert cli.load_config(str(path)) == expected
+
+    def test_empty_value_means_unset(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("[pipeline]\nseed =\n[eval]\nskip_initial_us =\nmin_diagonal =\n")
+        cfg = cli.load_config(str(path))
+        assert cfg.seed == 0
+        assert cfg.eval == EvalConfig()
+        assert cfg == cli.load_config(None)
+
+    @pytest.mark.parametrize("extra", [
+        "[histogramm]\nn_bins = 5\n",                 # unknown section
+        "[DEFAULT]\nseed = 3\n",                      # no section is special
+        "[histogram]\nt_frame = 20000\n",             # misspelt key
+        "[histogram]\nt_frame_us = 0\n",
+        "[histogram]\nn_bins = 0\n",
+        "downscale_method = area\n",
+        "downscale_factor = 0\n",
+        "pad_multiple = 0\n",
+        "[augment]\nmin_box_area = nan\n",
+        "[eval]\nmin_diagonal = inf\n",
+    ])
+    def test_bad_config_fails_before_output(self, tmp_path, capsys, extra):
+        rec = tmp_path / "rec.evs"
+        synth_recording(rec, n=200)
+        out = tmp_path / "out"
+        rc = cli.main(["convert", str(rec), "--output", str(out),
+                       "--config", str(tiny_config(tmp_path / "cfg.ini", extra))])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error code=")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("preset = gen1-like\n", 1),                   # no section header
+        ("[pipeline]\nseed = 1\nclip_len = 4\nseed = 2\n", 4),  # repeated key
+        ("[pipeline]\nseed = 1\nnot a key value line\n", 3),
+    ])
+    def test_config_syntax_error_is_parse_error(self, tmp_path, capsys, text, lineno):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            cli.load_config(str(path))
+        assert exc.value.index == lineno
+        rc = cli.main(["plan", str(tmp_path / "none.txt"), "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error code=ParseError")

@@ -61,6 +61,12 @@ class TestEvs:
         with pytest.raises(VersionUnsupported):
             codec.decode_evs(b"EVS9" + bytes(16))
 
+    def test_out_of_range_geometry_is_bad_header(self):
+        header = codec.EVS_MAGIC + (70_000).to_bytes(4, "little") \
+            + (240).to_bytes(4, "little") + (0).to_bytes(8, "little")
+        with pytest.raises(BadHeader):
+            codec.decode_evs(header)
+
     def test_truncated_body(self, rng):
         blob = codec.encode_evs(make_stream(rng, 3, GEN1, 100))
         with pytest.raises(TruncatedFile):
@@ -103,6 +109,15 @@ class TestDat:
     def test_geometry_line_variant(self):
         s = codec.decode_dat(dat_blob([], header=b"% geometry 640x480\n"))
         assert s.geometry == SensorGeometry(640, 480)
+
+    @pytest.mark.parametrize("header", [
+        b"% geometry 0x0\n",
+        b"% Width 70000\n% Height 240\n",
+        b"% Width 304\n",  # one dimension only, not the caller's geometry
+    ])
+    def test_bad_header_geometry(self, header):
+        with pytest.raises(BadHeader):
+            codec.decode_dat(dat_blob([], header=header), GEN1)
 
     def test_truncated_record(self):
         blob = dat_blob([(1, 2, 3, 1)]) + b"\x00" * 7
@@ -156,6 +171,22 @@ class TestAnnotations:
     def test_non_finite_is_parse_error(self, tmp_path, line):
         path = tmp_path / "bad.txt"
         path.write_text("t=0 x=0 y=0 w=2 h=2 class=0 score=1.0 track=-\n" + line + "\n")
+        with pytest.raises(ParseError) as exc:
+            codec.read_annotations(path)
+        assert exc.value.index == 2
+
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_box_rejected(self, field, value):
+        fields = dict(t=0, x=1.0, y=1.0, w=2.0, h=2.0, class_id=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            codec.AnnotatedBox(**fields)
+
+    def test_non_ascii_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"t=0 x=0 y=0 w=2 h=2 class=0 score=1.0 track=-\n"
+                         b"t=1 x=0 y=0 w=2 h=2 class=0 score=1.0 track=\xc3\xa9\n")
         with pytest.raises(ParseError) as exc:
             codec.read_annotations(path)
         assert exc.value.index == 2

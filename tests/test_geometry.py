@@ -172,3 +172,7 @@ class TestMapBoxes:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             map_boxes([self.BOX], 0.0)
+
+    def test_infinite_scale_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            map_boxes([self.BOX], float("inf"))

@@ -147,6 +147,24 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_plan("not key value")
 
+    def test_negative_batch_is_parse_error(self):
+        text = "batch=0 slot=0 seq=a start=0 len=1 reset=1 pad=0\n" \
+               "batch=-1 slot=0 seq=a start=0 len=1 reset=1 pad=0\n"
+        with pytest.raises(ParseError) as exc:
+            parse_plan(text)
+        assert exc.value.index == 2
+
+    @pytest.mark.parametrize("content", [
+        b"seq=a frames=3 annotated=101\nseq=b frames=3 annotated=0x1\n",
+        b"seq=a frames=3 annotated=101\nseq=\xff frames=3 annotated=-\n",
+    ])
+    def test_bad_sequence_index_line_is_parse_error(self, tmp_path, content):
+        path = tmp_path / "index.txt"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as exc:
+            read_sequence_index(path)
+        assert exc.value.index == 2
+
     def test_sequence_index_file_roundtrip(self, tmp_path):
         indices = [
             SequenceIndex("a", 3, (True, False, True)),
