@@ -54,7 +54,8 @@ class AugmentConfig:
     min_box_visibility: float = 0.1
 
     def __post_init__(self):
-        for name in ("hflip_p", "rotate_p", "translate_p", "scale_p", "shear_p", "erase_p"):
+        for name in ("hflip_p", "rotate_p", "translate_p", "scale_p", "shear_p", "erase_p",
+                     "min_box_visibility"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {p}")
@@ -62,6 +63,9 @@ class AugmentConfig:
             lo, hi = getattr(self, name)
             if lo > hi or lo <= 0.0:
                 raise ValueError(f"{name} must be a positive (lo, hi) range")
+        for name in ("rotate_deg", "translate_frac", "shear_deg", "min_box_area"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @classmethod
     def disabled(cls) -> "AugmentConfig":
@@ -186,25 +190,24 @@ def apply_to_frame(frame: FrameTensor, aug: SampledAugmentation) -> FrameTensor:
 
 def _warp_bilinear(values: np.ndarray, transform: AffineTransform) -> np.ndarray:
     c, height, width = values.shape
-    xs, ys = np.meshgrid(np.arange(width), np.arange(height))
-    centers = np.stack([xs.ravel() + 0.5, ys.ravel() + 0.5], axis=1)
-    src = transform.inverse().apply(centers) - 0.5
-    sx = src[:, 0].reshape(height, width)
-    sy = src[:, 1].reshape(height, width)
+    pixel = np.arange(height * width)
+    centers = np.column_stack([pixel % width + 0.5, pixel // width + 0.5])
+    sx, sy = (transform.inverse().apply(centers) - 0.5).T
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
     fx, fy = sx - x0, sy - y0
-    source = values.astype(np.float64)
-    out = np.zeros((c, height, width), dtype=np.float64)
+    # Taps are gathered in the frame's dtype; the float64 weight promotes each
+    # product exactly as a float64 copy of the frame would.
+    source = values.reshape(c, height * width)
+    out = np.zeros((c, height * width), dtype=np.float64)
     for dy in (0, 1):
         for dx in (0, 1):
             xi, yi = x0 + dx, y0 + dy
             weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
             weight = weight * ((xi >= 0) & (xi < width) & (yi >= 0) & (yi < height))
-            xi = np.clip(xi, 0, width - 1)
-            yi = np.clip(yi, 0, height - 1)
-            out += source[:, yi, xi] * weight
-    return out.astype(np.float32)
+            index = np.clip(yi, 0, height - 1) * width + np.clip(xi, 0, width - 1)
+            out += source.take(index, axis=1) * weight
+    return out.astype(np.float32).reshape(c, height, width)
 
 
 def apply_to_boxes(

@@ -172,20 +172,20 @@ def _build_frame(stream: EventStream, window_slice, cfg: PipelineConfig) -> byte
 
 
 def cmd_convert(args, cfg: PipelineConfig) -> int:
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t_begin = time.perf_counter()
     stream = read_recording(args.input, cfg.geometry)
+    boxes = codec.read_annotations(args.annotations) if args.annotations else []
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.annotations:
+        scaled = map_boxes(boxes, 1.0 / cfg.downscale_factor)
+        codec.write_annotations(out_dir / "annotations.txt", scaled)
     windows = partition_windows(stream, cfg.hist.t_frame, t_start=args.t_start)
     if args.drop_partial:
         windows = [w for w in windows if not w.partial]
-
-    boxes: list[codec.AnnotatedBox] = []
-    if args.annotations:
-        boxes = codec.read_annotations(args.annotations)
-        scaled = map_boxes(boxes, 1.0 / cfg.downscale_factor)
-        codec.write_annotations(out_dir / "annotations.txt", scaled)
+    # Boxes are sorted by time, so each window's boxes are one id range.
     box_t = np.array([b.t for b in boxes], dtype=np.int64)
+    box_ranges = np.searchsorted(box_t, [(w.window.t0, w.window.t1) for w in windows])
 
     index_lines = []
     chunk = max(4 * cfg.threads, 16)
@@ -197,17 +197,10 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
                 blobs = list(pool.map(lambda w: _build_frame(stream, w, cfg), batch))
             else:
                 blobs = [_build_frame(stream, w, cfg) for w in batch]
-            for j, (w, blob) in enumerate(zip(batch, blobs)):
-                k = lo + j
+            for k, (w, blob) in enumerate(zip(batch, blobs), start=lo):
                 name = _frame_name(k)
                 (out_dir / name).write_bytes(blob)
-                if boxes:
-                    ids = np.flatnonzero(
-                        (box_t >= w.window.t0) & (box_t < w.window.t1)
-                    )
-                    ann = ",".join(str(i) for i in ids) if ids.size else "-"
-                else:
-                    ann = "-"
+                ann = ",".join(str(i) for i in range(*box_ranges[k])) or "-"
                 index_lines.append(
                     f"window={k} t0={w.window.t0} t1={w.window.t1} "
                     f"file={name} partial={int(w.partial)} "
@@ -269,29 +262,27 @@ def _format_opt(v) -> str:
 
 def cmd_augment(args, cfg: PipelineConfig) -> int:
     frames_dir = Path(args.frames)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = _read_index(frames_dir)
     if not entries:
         raise BadHeader(f"no frames found in {frames_dir}")
-    frames = [read_evf((frames_dir / e["file"]).read_bytes()) for e in entries]
     boxes = codec.read_annotations(args.annotations) if args.annotations else []
-    per_frame = [
-        [b for b in boxes if e["t0"] <= b.t < e["t1"]] for e in entries
-    ]
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # Boxes are sorted by time, so each frame's boxes are one slice.
+    box_t = np.array([b.t for b in boxes], dtype=np.int64)
+    box_ranges = np.searchsorted(box_t, [(e["t0"], e["t1"]) for e in entries])
 
     clip_len = 1 if args.mode == "frame" else cfg.clip_len
-    clips = [
-        (frames[i : i + clip_len], per_frame[i : i + clip_len])
-        for i in range(0, len(frames), clip_len)
-    ]
-    master = np.random.default_rng(cfg.seed)
-    children = master.spawn(len(clips))
+    starts = range(0, len(entries), clip_len)
+    children = np.random.default_rng(cfg.seed).spawn(len(starts))
 
     log_lines = []
     out_boxes: list[codec.AnnotatedBox] = []
-    frame_idx = 0
-    for c, ((clip_frames, clip_boxes), rng) in enumerate(zip(clips, children)):
+    # Each clip is read, augmented, written and released before the next is read.
+    for c, (first, rng) in enumerate(zip(starts, children)):
+        clip = slice(first, first + clip_len)
+        clip_frames = [read_evf((frames_dir / e["file"]).read_bytes()) for e in entries[clip]]
+        clip_boxes = [boxes[lo:hi] for lo, hi in box_ranges[clip]]
         aug_frames, aug_boxes, log = augmod.augment_clip(
             clip_frames, clip_boxes, cfg.augment, rng
         )
@@ -307,17 +298,17 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
             f"shear_y={_format_opt(geo.shear_deg[1] if geo.shear_deg else None)} "
             f"affine={affine}"
         )
-        for frame, fb, aug in zip(aug_frames, aug_boxes, log):
+        for k, (frame, fb, aug) in enumerate(zip(aug_frames, aug_boxes, log), start=first):
             erase = "-" if aug.erasure is None else ",".join(str(v) for v in aug.erasure)
-            log_lines.append(f"clip={c} frame={frame_idx} erase={erase}")
-            (out_dir / f"aug_{frame_idx:06d}.evf").write_bytes(write_evf(frame))
+            log_lines.append(f"clip={c} frame={k} erase={erase}")
+            (out_dir / f"aug_{k:06d}.evf").write_bytes(write_evf(frame))
             out_boxes.extend(fb)
-            frame_idx += 1
+        del clip_frames, aug_frames, frame
     codec.write_annotations(out_dir / "annotations.txt", out_boxes)
     (out_dir / "aug_log.txt").write_text(
         "".join(line + "\n" for line in log_lines), encoding="ascii"
     )
-    print(f"augmented frames={frame_idx} clips={len(clips)} mode={args.mode}")
+    print(f"augmented frames={len(entries)} clips={len(starts)} mode={args.mode}")
     return 0
 
 

@@ -38,6 +38,10 @@ class EvalConfig:
             a >= b for a, b in zip(t, t[1:])
         ):
             raise ValueError("iou_thresholds must be strictly increasing in (0,1]")
+        for name in ("min_diagonal", "skip_initial_us", "time_tolerance_us"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,7 @@ def _group_frames(
     ground-truth timestamp within the tolerance."""
     gt_times = sorted({b.t for b in gts})
     def snap(t: int) -> int:
-        if not gt_times or tolerance_us <= 0:
+        if not gt_times or tolerance_us == 0:
             return t
         pos = np.searchsorted(gt_times, t)
         best = t

@@ -35,10 +35,6 @@ class SensorGeometry:
             raise ValueError(f"geometry {self.width}x{self.height} exceeds 65536")
 
 
-GEN1_GEOMETRY = SensorGeometry(width=304, height=240)
-GEN4_GEOMETRY = SensorGeometry(width=1280, height=720)
-
-
 @dataclass(frozen=True)
 class Event:
     """One camera event: timestamp (us), pixel column/row, polarity (0 or 1)."""

@@ -210,6 +210,10 @@ def _load_tensors(blob: bytes, manifest: str) -> dict[str, np.ndarray]:
             name, shape = parts[0], tuple(int(d) for d in parts[1:])
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from exc
+        if any(d < 0 for d in shape):
+            raise ParseError(lineno, f"negative dimension in tensor {name!r}")
+        if name in tensors:
+            raise ParseError(lineno, f"tensor {name!r} given twice")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * 4
         if offset + nbytes > len(blob):

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 
 def bucket_counts(timestamps, t_frame, t_start, n_windows):
     """Per-window event counts by scanning every event."""
@@ -87,6 +89,30 @@ def naive_downscale(frame, factor, method):
                     for ix, wx in taps(sx, w):
                         acc += wy * wx * float(frame[ci][iy][ix])
                 out[ci][yo][xo] = acc
+    return out
+
+
+def naive_warp(values, transform):
+    """Bilinear inverse-mapping warp of a (C, H, W) array, one output pixel at
+    a time, as float32.  Each output pixel center is mapped through
+    `transform.inverse().apply`; its four taps are summed in the order
+    (0,0), (0,1), (1,0), (1,1), and a tap outside the frame has weight 0."""
+    c, h, w = values.shape
+    inverse = transform.inverse()
+    out = np.zeros((c, h, w), dtype=np.float32)
+    for yo in range(h):
+        for xo in range(w):
+            sx, sy = inverse.apply(np.array([[xo + 0.5, yo + 0.5]]))[0] - 0.5
+            x0, y0 = math.floor(sx), math.floor(sy)
+            fx, fy = sx - x0, sy - y0
+            for ci in range(c):
+                acc = 0.0
+                for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    ix, iy = x0 + dx, y0 + dy
+                    inside = 0 <= ix < w and 0 <= iy < h
+                    weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
+                    acc += float(values[ci, iy, ix]) * weight if inside else 0.0
+                out[ci, yo, xo] = acc
     return out
 
 

@@ -16,7 +16,7 @@ from evkit.errors import ShapeMismatch
 from evkit.geometry import AffineTransform
 from evkit.representation import FrameTensor
 
-from oracles import box_iou_ref, dense_point_hull
+from oracles import box_iou_ref, dense_point_hull, naive_warp
 
 
 def geometric_only(**kwargs) -> AugmentConfig:
@@ -129,6 +129,22 @@ class TestApplyToFrame:
         aug = sample_augmentation(AugmentConfig(), 8, 8, 0)
         with pytest.raises(ShapeMismatch):
             apply_to_frame(frame, aug)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+    def test_warp_matches_per_pixel_oracle(self, rng, dtype):
+        cfg = AugmentConfig(hflip_p=1, rotate_p=1, translate_p=1, scale_p=1,
+                            shear_p=1, erase_p=1)
+        for seed in range(6):
+            values = rng.normal(size=(2, 11, 14)) * 300 + 200
+            values = (values.clip(0) if dtype == np.uint16 else values).astype(dtype)
+            aug = sample_augmentation(cfg, 11, 14, seed)
+            expected = naive_warp(values, aug.transform)
+            if aug.erasure is not None:
+                top, left, eh, ew = aug.erasure
+                expected[:, top : top + eh, left : left + ew] = 0
+            out = apply_to_frame(FrameTensor(values), aug).values
+            assert out.dtype == np.float32
+            assert out.tobytes() == expected.tobytes()
 
     def test_determinism_bit_for_bit(self, rng):
         frame = FrameTensor(rng.uniform(size=(2, 16, 16)).astype(np.float32))

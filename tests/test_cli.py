@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from evkit import cli, codec
-from evkit.augment import AugmentConfig
+from evkit.augment import AugmentConfig, SampledAugmentation, apply_to_boxes
 from evkit.detmetrics import EvalConfig
 from evkit.errors import ParseError
 from evkit.event_core import SensorGeometry, partition_windows
+from evkit.geometry import AffineTransform
 from evkit.representation import StackedHistogramConfig, read_evf
 from evkit.sampler import parse_plan
 
@@ -117,6 +119,9 @@ class TestConvert:
         rec.write_bytes(codec.encode_evs(stream))
         ann = tmp_path / "ann.txt"
         synth_annotations(ann, duration_us=100_000, geometry=geometry)
+        # a box at window 0's t1 belongs to window 1
+        edge = replace(codec.read_annotations(ann)[0], t=50_000)
+        codec.write_annotations(ann, codec.read_annotations(ann) + [edge])
         out = tmp_path / "out"
         cli.main(["convert", str(rec), "--output", str(out), "--preset", "gen4-like",
                   "--annotations", str(ann)])
@@ -127,11 +132,15 @@ class TestConvert:
             assert a.x == pytest.approx(b.x / 2) and a.w == pytest.approx(b.w / 2)
         index = (out / "index.txt").read_text().splitlines()
         referenced = set()
-        for line in index:
-            ids = line.rsplit("ann=", 1)[1]
-            if ids != "-":
-                referenced.update(int(i) for i in ids.split(","))
+        ann_ids = []
+        for lineno, line in enumerate(index, start=1):
+            fields = codec.parse_fields(line, lineno, ("t0", "t1", "ann"))
+            ids = [] if fields["ann"] == "-" else [int(i) for i in fields["ann"].split(",")]
+            assert all(int(fields["t0"]) <= original[i].t < int(fields["t1"]) for i in ids)
+            referenced.update(ids)
+            ann_ids.append(ids)
         assert referenced == set(range(len(original)))
+        assert original.index(edge) in ann_ids[1]
 
     def test_reports_rate(self, tmp_path, capsys):
         rec = tmp_path / "rec.evs"
@@ -251,6 +260,9 @@ class TestAugmentCommand:
 
     def test_video_mode_one_geometric_record_per_clip(self, tmp_path):
         frames, ann, cfgf = self._converted(tmp_path)
+        # a box at frame 3's t1 belongs to frame 4, the first of the second clip
+        edge = replace(codec.read_annotations(ann)[0], t=200_000)
+        codec.write_annotations(ann, codec.read_annotations(ann) + [edge])
         out = tmp_path / "aug"
         cli.main(["augment", str(frames), "--output", str(out),
                   "--annotations", str(ann), "--config", str(cfgf),
@@ -260,6 +272,18 @@ class TestAugmentCommand:
         frame_lines = [l for l in log if " erase=" in l]
         assert len(geo_lines) == 5  # 20 frames in clips of 4
         assert len(frame_lines) == 20
+        # each frame's boxes are those with t0 <= t < t1, mapped by its clip's affine
+        boxes = codec.read_annotations(ann)
+        expected = []
+        for k, line in enumerate(cli._read_index(frames)):
+            matrix = np.array(geo_lines[k // 4].rsplit("affine=", 1)[1].split(","), float)
+            aug = SampledAugmentation(32, 32, False, None, None, None, None,
+                                      AffineTransform(matrix.reshape(2, 3)), None)
+            expected += apply_to_boxes([b for b in boxes if line["t0"] <= b.t < line["t1"]],
+                                       aug)
+        assert any(b.t == edge.t for b in expected)
+        assert codec.read_annotations(out / "annotations.txt") == \
+            sorted(expected, key=lambda b: b.t)
 
     def test_frame_mode_one_geometric_record_per_frame(self, tmp_path):
         frames, ann, cfgf = self._converted(tmp_path)
@@ -346,6 +370,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error code=BadHeader") and "index.txt" in err
+        assert not (tmp_path / "aug").exists()
+
+    def test_missing_recording_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["convert", str(tmp_path / "nope.evs"), "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error code=FileNotFoundError")
+        assert not out.exists()
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         rec = tmp_path / "rec.evs"
@@ -448,6 +482,15 @@ class TestConfig:
         "pad_multiple = 0\n",
         "[augment]\nmin_box_area = nan\n",
         "[eval]\nmin_diagonal = inf\n",
+        "[eval]\ntime_tolerance_us = -5\n",
+        "[eval]\nmin_diagonal = -3\n",
+        "[eval]\nskip_initial_us = -7\n",
+        "[augment]\nmin_box_visibility = 2.0\n",
+        "[augment]\nmin_box_visibility = -0.1\n",
+        "[augment]\nmin_box_area = -1\n",
+        "[augment]\nrotate_deg = -30\n",
+        "[augment]\nshear_deg = -5\n",
+        "[augment]\ntranslate_frac = -0.1\n",
     ])
     def test_bad_config_fails_before_output(self, tmp_path, capsys, extra):
         rec = tmp_path / "rec.evs"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evkit.errors import ShapeMismatch, TruncatedFile
+from evkit.errors import ParseError, ShapeMismatch, TruncatedFile
 from evkit.temporal import (
     ConvLSTMParams,
     ConvLSTMState,
@@ -226,6 +226,17 @@ class TestParamsIO:
         blob, manifest = save_state(ConvLSTMState(np.zeros((2, 3, 4)), np.zeros((2, 3, 4))))
         with pytest.raises(ShapeMismatch):
             load_state(blob, manifest.replace("c 2 3 4", "c 2 4 3"))
+
+    @pytest.mark.parametrize("line, lineno", [
+        ("h -2 -1", 1),  # negative dimensions with a positive product
+        ("h -1", 1),
+        ("c 2 3 4", 2),  # the second "c" is the repeat
+    ])
+    def test_bad_manifest_line_is_parse_error(self, line, lineno):
+        blob, manifest = save_state(ConvLSTMState(np.zeros((2, 3, 4)), np.zeros((2, 3, 4))))
+        with pytest.raises(ParseError) as exc:
+            load_state(blob, manifest.replace("h 2 3 4", line))
+        assert exc.value.index == lineno
 
     def test_truncated_blob_rejected(self):
         params = ConvLSTMParams.zeros(2, 2, 1)
