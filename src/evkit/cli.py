@@ -252,6 +252,8 @@ def _read_index(frames_dir: Path) -> list[dict]:
             t0, t1 = int(fields["t0"]), int(fields["t1"])
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from exc
+        if t1 <= t0:
+            raise ParseError(lineno, f"window ends at t1={t1}, not after t0={t0}")
         entries.append({"file": fields["file"], "t0": t0, "t1": t1})
     return entries
 

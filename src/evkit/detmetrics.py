@@ -12,6 +12,7 @@ one ground-truth box) and IoU thresholds (0.50:0.05:0.95 by default).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,6 @@ class MatchResult:
     pred_scores: np.ndarray
     pred_classes: np.ndarray
     pred_matched: np.ndarray
-    pred_ious: np.ndarray
     gt_classes: np.ndarray
     gt_matched: np.ndarray
 
@@ -73,49 +73,43 @@ class MatchResult:
         return int(np.count_nonzero(~self.gt_matched))
 
 
-def iou(a: AnnotatedBox, b: AnnotatedBox) -> float:
-    """Intersection over union of two axis-aligned boxes, in [0, 1]."""
-    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.w * a.h + b.w * b.h - inter)
+def iou(a: list[AnnotatedBox], b: list[AnnotatedBox]) -> np.ndarray:
+    """IoU of every pair of axis-aligned boxes: a (len(a), len(b)) matrix in [0, 1]."""
+    ax, ay, aw, ah = np.array([(p.x, p.y, p.w, p.h) for p in a], float).T.reshape(4, -1, 1)
+    bx, by, bw, bh = np.array([(q.x, q.y, q.w, q.h) for q in b], float).T.reshape(4, 1, -1)
+    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    return inter / (aw * ah + bw * bh - inter)
 
 
 def match_frame(
-    preds: list[AnnotatedBox], gts: list[AnnotatedBox], iou_threshold: float
-) -> MatchResult:
-    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
-    gt_matched = np.zeros(len(gts), dtype=bool)
-    matched = np.full(len(preds), -1, dtype=np.int64)
-    ious = np.zeros(len(preds))
-    for rank, i in enumerate(order):
-        pred = preds[i]
-        best_j, best_iou = -1, 0.0
-        for j, gt in enumerate(gts):
-            if gt_matched[j] or gt.class_id != pred.class_id:
-                continue
-            v = iou(pred, gt)
-            if v >= iou_threshold and v > best_iou:
-                best_j, best_iou = j, v
-        if best_j >= 0:
-            gt_matched[best_j] = True
-            matched[rank] = best_j
-            ious[rank] = best_iou
-    return MatchResult(
-        threshold=iou_threshold,
-        pred_scores=np.array([preds[i].score for i in order]),
-        pred_classes=np.array([preds[i].class_id for i in order], dtype=np.int64),
-        pred_matched=matched,
-        pred_ious=ious,
-        gt_classes=np.array([g.class_id for g in gts], dtype=np.int64),
-        gt_matched=gt_matched,
-    )
+    preds: list[AnnotatedBox], gts: list[AnnotatedBox], thresholds: Sequence[float]
+) -> list[MatchResult]:
+    """One MatchResult per threshold, all from one IoU matrix (-1 across classes);
+    a prediction takes the first free gt with its row's largest IoU (argmax)."""
+    ranked = sorted(preds, key=lambda p: -p.score)
+    scores = np.array([p.score for p in ranked])
+    pred_classes = np.array([p.class_id for p in ranked], dtype=np.int64)
+    gt_classes = np.array([g.class_id for g in gts], dtype=np.int64)
+    ious = np.where(pred_classes[:, None] == gt_classes, iou(ranked, gts), -1.0)
+    best = ious.max(axis=1, initial=-1.0)
+    results = []
+    for thr in thresholds:
+        gt_matched = np.zeros(len(gts), dtype=bool)
+        matched = np.full(len(ranked), -1, dtype=np.int64)
+        for rank in np.flatnonzero(best >= thr):
+            row = np.where(gt_matched, -1.0, ious[rank])
+            j = int(row.argmax())
+            if row[j] >= thr:
+                gt_matched[j] = True
+                matched[rank] = j
+        results.append(MatchResult(thr, scores, pred_classes, matched, gt_classes, gt_matched))
+    return results
 
 
 def average_precision(
-    matches: list[MatchResult], class_id: int,
+    matches: Sequence[MatchResult], class_id: int,
     recall_grid: tuple[float, ...] = DEFAULT_RECALL_GRID,
 ) -> float:
     """AP for one class from per-frame matches (all at one threshold).
@@ -211,10 +205,9 @@ def evaluate_boxes(
     )
     thresholds = list(cfg.iou_thresholds)
     extra = [t for t in (0.5, 0.75) if t not in thresholds]
-    ap: dict[float, dict[int, float]] = {}
-    for thr in thresholds + extra:
-        matches = [match_frame(p, g, thr) for p, g in frames]
-        ap[thr] = {c: average_precision(matches, c, cfg.recall_grid) for c in classes}
+    per_frame = [match_frame(p, g, thresholds + extra) for p, g in frames]
+    ap = {thr: {c: average_precision(matches, c, cfg.recall_grid) for c in classes}
+          for thr, matches in zip(thresholds + extra, zip(*per_frame))}
 
     def mean_over_classes(values: dict[int, float]) -> float:
         live = [v for v in values.values() if not math.isnan(v)]

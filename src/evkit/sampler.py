@@ -155,8 +155,8 @@ def parse_plan(text: str) -> list[Batch]:
                                               "len", "reset", "pad"))
         try:
             b = int(fields["batch"])
-            if b < 0:
-                raise ValueError(f"batch must be >= 0, got {b}")
+            if not 0 <= b <= len(batches):  # format_plan numbers batches without gaps
+                raise ValueError(f"batch must be in 0..{len(batches)}, got {b}")
             entry = ClipEntry(
                 seq_id=None if fields["seq"] == "-" else fields["seq"],
                 start=int(fields["start"]),
@@ -167,7 +167,7 @@ def parse_plan(text: str) -> list[Batch]:
             )
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from exc
-        while len(batches) <= b:
+        if b == len(batches):
             batches.append([])
         batches[b].append(entry)
     return batches

@@ -17,6 +17,7 @@ flat blob or initialized randomly — training lives elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -214,12 +215,15 @@ def _load_tensors(blob: bytes, manifest: str) -> dict[str, np.ndarray]:
             raise ParseError(lineno, f"negative dimension in tensor {name!r}")
         if name in tensors:
             raise ParseError(lineno, f"tensor {name!r} given twice")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 4
         if offset + nbytes > len(blob):
             raise TruncatedFile(f"blob ends inside tensor {name!r}")
         flat = np.frombuffer(blob, "<f4", count=count, offset=offset)
-        tensors[name] = flat.reshape(shape).astype(np.float64)
+        try:  # an empty tensor can still name a dimension numpy cannot hold
+            tensors[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            raise ParseError(lineno, f"tensor {name!r}: {exc}") from exc
         offset += nbytes
     if offset != len(blob):
         raise TruncatedFile(f"{len(blob) - offset} trailing bytes after last tensor")

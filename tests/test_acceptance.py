@@ -24,9 +24,10 @@ from evkit.event_core import EventStream, SensorGeometry, TimeWindow, \
 from evkit.geometry import AffineTransform, downscale, pad_to_multiple
 from evkit.representation import FrameTensor, StackedHistogramConfig, histogram2d, \
     stacked_histogram, sum_over_bins
-from evkit.sampler import SequenceIndex, plan_epoch
+from evkit.sampler import SequenceIndex, format_plan, parse_plan, plan_epoch, \
+    read_sequence_index, write_sequence_index
 from evkit.temporal import ConvLSTMParams, ConvLSTMState, FeatureMap, convlstm_step, \
-    init_state, residual_update
+    init_state, load_params, residual_update, save_params
 
 from conftest import make_stream
 from oracles import box_iou_ref, naive_downscale, scalar_lstm_step, slow_evaluate
@@ -83,7 +84,7 @@ def test_criterion_02_shape_pipeline():
     _pass(2, "gen1-like (20,256,320) and gen4-like (20,384,640) shapes exact")
 
 
-def test_criterion_03_codec():
+def test_criterion_03_codec(tmp_path):
     rng = np.random.default_rng(103)
     geom = SensorGeometry(1280, 720)
     stream = make_stream(rng, 1_000_000, geom, 60_000_000)
@@ -110,7 +111,85 @@ def test_criterion_03_codec():
             codec.decode_dat(data, SensorGeometry(304, 240))
         except EvkitError:
             pass  # named errors only; anything else fails the test
-    _pass(3, "EVS 1e6-event roundtrip bit-exact, DAT golden decode, 1e4 fuzz clean")
+
+    # The text readers get the same contract: seeded token and byte mutations
+    # of a valid file.  Every input is a few hundred bytes, and no reader may
+    # allocate more than its input describes.
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    seq_path = tmp_path / "sequences.txt"
+    write_sequence_index(seq_path, [SequenceIndex("a", 5, (True, False) * 2 + (True,)),
+                                    SequenceIndex("b", 3)])
+    plan = plan_epoch([SequenceIndex("a", 5), SequenceIndex("b", 3)], 2, 1, 1, rng=0)
+    blob, manifest = save_params(ConvLSTMParams.random(2, 3, kernel_size=1, rng=0))
+
+    def from_file(path, read):
+        def run(data):
+            path.write_bytes(data)
+            return read(path)
+        return run
+
+    readers = {
+        "window index": (
+            "".join(f"window={k} t0={k * 50_000} t1={(k + 1) * 50_000} file=f{k}.evf "
+                    f"partial=0 events=9 ann={k}\n" for k in range(4)).encode(),
+            from_file(frames / "index.txt", lambda _: cli._read_index(frames)),
+        ),
+        "plan": (format_plan(plan).encode(), lambda data: parse_plan(data.decode("latin-1"))),
+        "sequence index": (seq_path.read_bytes(), from_file(seq_path, read_sequence_index)),
+        "params manifest": (manifest.encode(),
+                            lambda data: load_params(blob, data.decode("latin-1"))),
+    }
+    values = [b"0", b"1", b"2", b"3", b"8", b"-1", b"-", b"", b"a", b"101", b"0x1", b"1e3",
+              b"nan", b"50000", b"99999999999999999999", b"\xff"]
+
+    def pick(options):
+        return options[int(fuzz_rng.integers(0, len(options)))]
+
+    def mutate_tokens(valid):
+        """Drop lines and tokens of a valid file and swap values for odd ones."""
+        lines = []
+        for line in valid.splitlines():
+            if fuzz_rng.random() < 0.1:
+                continue
+            tokens = []
+            for token in line.split(b" "):
+                key, sep, _ = token.rpartition(b"=")
+                r = fuzz_rng.random()
+                if r >= 0.05:
+                    tokens.append(key + sep + pick(values) if r < 0.2 else token)
+            if fuzz_rng.random() < 0.1:
+                tokens.insert(int(fuzz_rng.integers(0, len(tokens) + 1)), pick(values))
+            lines.append(b" ".join(tokens))
+        return b"".join(line + b"\n" for line in lines)
+
+    for name, (valid, read) in readers.items():
+        outcomes = {"parsed": 0, "rejected": 0}
+        for trial in range(400):
+            if trial % 2:
+                data = bytearray(valid)
+                for _ in range(int(fuzz_rng.integers(1, 5))):
+                    at = int(fuzz_rng.integers(0, len(data) + 1))
+                    op = int(fuzz_rng.integers(0, 4))
+                    if op == 0 and at < len(data):
+                        data[at] = int(fuzz_rng.integers(0, 256))
+                    elif op == 1:
+                        data.insert(at, pick(b"0123456789-= \nx"))
+                    elif op == 2:
+                        del data[at:at + int(fuzz_rng.integers(1, 8))]
+                    else:
+                        data[at:at] = data[max(0, at - 12):at]
+                data = bytes(data)
+            else:
+                data = mutate_tokens(valid)
+            try:
+                read(data)
+                outcomes["parsed"] += 1
+            except EvkitError:
+                outcomes["rejected"] += 1  # named errors only, as above
+        assert min(outcomes.values()) > 0, (name, outcomes)
+    _pass(3, "EVS 1e6-event roundtrip bit-exact, DAT golden decode, 1e4 fuzz clean, "
+             "text readers fuzz clean")
 
 
 def test_criterion_04_resampling_oracle():

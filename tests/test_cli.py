@@ -350,6 +350,8 @@ class TestErrors:
         "window=0 t0=0 t1=50000 partial=0",  # no file=
         "window=0 t0=0 t1=50000 file=frame_000000.evf stray",
         "window=0 t0=zero t1=50000 file=frame_000000.evf",
+        "window=0 t0=50000 t1=0 file=frame_000000.evf",  # ends before it starts
+        "window=0 t0=50000 t1=50000 file=frame_000000.evf",
     ])
     def test_malformed_index_is_parse_error(self, tmp_path, capsys, line):
         frames = tmp_path / "frames"

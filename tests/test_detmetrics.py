@@ -19,7 +19,7 @@ from evkit.detmetrics import (
 )
 from evkit.errors import NoGroundTruth
 
-from oracles import greedy_match_by_enumeration, slow_evaluate
+from oracles import box_iou_ref, greedy_match_by_enumeration, slow_evaluate
 
 
 def box(t=0, x=0.0, y=0.0, w=10.0, h=10.0, cls=0, score=1.0):
@@ -45,15 +45,15 @@ def random_boxes(rng, n, t_choices, n_classes=2, scored=False):
 
 class TestIoU:
     def test_identical_boxes(self):
-        assert iou(box(), box()) == 1.0
+        assert iou([box()], [box()])[0, 0] == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(box(x=0), box(x=100)) == 0.0
+        assert iou([box(x=0)], [box(x=100)])[0, 0] == 0.0
 
     def test_hand_geometry(self):
         a = box(x=0, y=0, w=2, h=2)
         b = box(x=1, y=1, w=2, h=2)
-        assert iou(a, b) == pytest.approx(1 / 7)
+        assert iou([a], [b])[0, 0] == pytest.approx(1 / 7)
 
     def test_symmetry(self, rng):
         for _ in range(50):
@@ -61,32 +61,64 @@ class TestIoU:
                     w=rng.uniform(1, 30), h=rng.uniform(1, 30))
             b = box(x=rng.uniform(0, 50), y=rng.uniform(0, 50),
                     w=rng.uniform(1, 30), h=rng.uniform(1, 30))
-            assert iou(a, b) == pytest.approx(iou(b, a))
-            assert 0.0 <= iou(a, b) <= 1.0
+            assert iou([a], [b])[0, 0] == pytest.approx(iou([b], [a])[0, 0])
+            assert 0.0 <= iou([a], [b])[0, 0] <= 1.0
+
+    def test_matrix_bit_equals_scalar_reference(self, rng):
+        # Integer corners on a small grid make many pairs disjoint or
+        # edge-touching; uniform ones give general overlaps.
+        for trial in range(20):
+            if trial % 2:
+                a = random_boxes(rng, 7, [0])
+                b = random_boxes(rng, 5, [0])
+            else:
+                a, b = ([box(x=float(rng.integers(0, 12)), y=float(rng.integers(0, 12)),
+                             w=float(rng.integers(1, 6)), h=float(rng.integers(1, 6)))
+                         for _ in range(n)] for n in (7, 5))
+            expected = np.array([[box_iou_ref((p.x, p.y, p.w, p.h), (q.x, q.y, q.w, q.h))
+                                  for q in b] for p in a])
+            got = iou(a, b)
+            assert got.shape == (7, 5) and got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+        assert iou([], [box()]).shape == (0, 1)
+        assert iou([box()], []).shape == (1, 0)
 
 
 class TestMatchFrame:
     def test_exact_hit(self):
-        r = match_frame([box(score=0.8)], [box()], 0.5)
+        r = match_frame([box(score=0.8)], [box()], (0.5,))[0]
         assert r.n_true_positives == 1
         assert r.n_false_positives == 0
         assert r.n_false_negatives == 0
 
     def test_no_predictions_all_fn(self):
-        r = match_frame([], [box(), box(x=50), box(x=100)], 0.5)
+        r = match_frame([], [box(), box(x=50), box(x=100)], (0.5,))[0]
         assert r.n_false_negatives == 3
 
     def test_class_must_match(self):
-        r = match_frame([box(cls=1, score=0.9)], [box(cls=0)], 0.5)
+        r = match_frame([box(cls=1, score=0.9)], [box(cls=0)], (0.5,))[0]
         assert r.n_true_positives == 0
         assert r.n_false_negatives == 1
 
     def test_duplicate_detections_single_tp(self):
         preds = [box(score=0.9), box(score=0.8), box(score=0.7)]
-        r = match_frame(preds, [box()], 0.5)
+        r = match_frame(preds, [box()], (0.5,))[0]
         assert r.n_true_positives == 1
         assert r.n_false_positives == 2
         assert r.pred_matched[0] == 0  # highest score wins the gt
+
+    def test_ties_go_to_first_gt_and_first_prediction(self):
+        r = match_frame([box(score=0.5)], [box(x=50), box(), box()], (0.5,))[0]
+        assert list(r.pred_matched) == [1]
+        # Equal scores keep input order: x=1 goes first and takes gt 0, so x=0
+        # (IoU 0.43 with gt 1) stays unmatched; the other order gives [0, 1].
+        preds = [box(x=1, score=0.5), box(x=0, score=0.5)]
+        r = match_frame(preds, [box(x=0), box(x=4)], (0.5,))[0]
+        assert list(r.pred_matched) == [0, -1]
+
+    def test_iou_equal_to_threshold_matches(self):
+        r = match_frame([box(w=2.0, h=1.0)], [box(w=1.0, h=1.0)], (0.5, 0.55))
+        assert [m.n_true_positives for m in r] == [1, 0]
 
     def test_matches_enumeration_oracle(self, rng):
         for seed in range(100):
@@ -98,30 +130,34 @@ class TestMatchFrame:
                 g = gts[0]
                 preds[0] = box(x=g.x + r.uniform(-5, 5), y=g.y + r.uniform(-5, 5),
                                w=g.w, h=g.h, cls=g.class_id, score=preds[0].score)
-            result = match_frame(preds, gts, 0.3)
-            expected = greedy_match_by_enumeration(preds, gts, 0.3)
+            thresholds = (0.3,) + DEFAULT_THRESHOLDS
+            results = match_frame(preds, gts, thresholds)
+            assert len(results) == len(thresholds)
             order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
-            got = {
-                order[k]: int(result.pred_matched[k])
-                for k in range(len(preds))
-                if result.pred_matched[k] >= 0
-            }
-            assert got == expected, f"seed {seed}"
+            for thr, result in zip(thresholds, results):
+                assert result.threshold == thr
+                expected = greedy_match_by_enumeration(preds, gts, thr)
+                got = {
+                    order[k]: int(result.pred_matched[k])
+                    for k in range(len(preds))
+                    if result.pred_matched[k] >= 0
+                }
+                assert got == expected, f"seed {seed} threshold {thr}"
 
 
 class TestAveragePrecision:
     def test_perfect_detection(self):
         gts = [box(), box(x=100)]
         preds = [box(score=0.9), box(x=100, score=0.8)]
-        matches = [match_frame(preds, gts, 0.5)]
+        matches = [match_frame(preds, gts, (0.5,))[0]]
         assert average_precision(matches, 0) == 1.0
 
     def test_zero_predictions(self):
-        matches = [match_frame([], [box()], 0.5)]
+        matches = [match_frame([], [box()], (0.5,))[0]]
         assert average_precision(matches, 0) == 0.0
 
     def test_class_without_gt_is_nan(self):
-        matches = [match_frame([box(cls=1, score=0.5)], [box(cls=0)], 0.5)]
+        matches = [match_frame([box(cls=1, score=0.5)], [box(cls=0)], (0.5,))[0]]
         assert math.isnan(average_precision(matches, 1))
 
     def test_handcrafted_pr_curve(self):
@@ -133,7 +169,7 @@ class TestAveragePrecision:
             box(x=100, score=0.7),        # TP  (recall 1.0, precision 2/3)
             box(x=300, score=0.6),        # FP
         ]
-        matches = [match_frame(preds, gts, 0.5)]
+        matches = [match_frame(preds, gts, (0.5,))[0]]
         grid = DEFAULT_RECALL_GRID
         expected = (sum(1.0 for r in grid if r <= 0.5)
                     + sum(2 / 3 for r in grid if 0.5 < r <= 1.0)) / len(grid)
@@ -142,13 +178,13 @@ class TestAveragePrecision:
     def test_score_monotone_transform_invariance(self, rng):
         gts = random_boxes(rng, 10, [0, 1000])
         preds = random_boxes(rng, 20, [0, 1000], scored=True)
-        m1 = [match_frame(preds, gts, 0.5)]
+        m1 = [match_frame(preds, gts, (0.5,))[0]]
         transformed = [
             AnnotatedBox(t=p.t, x=p.x, y=p.y, w=p.w, h=p.h, class_id=p.class_id,
                          score=p.score**3)
             for p in preds
         ]
-        m2 = [match_frame(transformed, gts, 0.5)]
+        m2 = [match_frame(transformed, gts, (0.5,))[0]]
         for c in (0, 1):
             a1, a2 = average_precision(m1, c), average_precision(m2, c)
             assert (math.isnan(a1) and math.isnan(a2)) or a1 == pytest.approx(a2, abs=1e-12)
@@ -156,9 +192,9 @@ class TestAveragePrecision:
     def test_low_score_zero_iou_fp_never_increases_ap(self, rng):
         gts = random_boxes(rng, 6, [0])
         preds = random_boxes(rng, 10, [0], scored=True)
-        base = average_precision([match_frame(preds, gts, 0.5)], 0)
+        base = average_precision([match_frame(preds, gts, (0.5,))[0]], 0)
         junk = box(x=5000.0, score=0.01)  # off every gt, lowest score
-        worse = average_precision([match_frame(preds + [junk], gts, 0.5)], 0)
+        worse = average_precision([match_frame(preds + [junk], gts, (0.5,))[0]], 0)
         assert worse <= base + 1e-12
 
 

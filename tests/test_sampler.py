@@ -154,6 +154,18 @@ class TestSerialization:
             parse_plan(text)
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("batch=5 slot=0 seq=a start=0 len=2 reset=1 pad=0\n", 1),
+        ("batch=0 slot=0 seq=a start=0 len=1 reset=1 pad=0\n"
+         "batch=2 slot=0 seq=a start=0 len=1 reset=1 pad=0\n", 2),
+    ])
+    def test_batch_gap_is_parse_error(self, text, lineno):
+        # A gap in the numbering is rejected before any batch is allocated
+        # for it, so a huge batch number cannot exhaust memory.
+        with pytest.raises(ParseError) as exc:
+            parse_plan(text)
+        assert exc.value.index == lineno
+
     @pytest.mark.parametrize("content", [
         b"seq=a frames=3 annotated=101\nseq=b frames=3 annotated=0x1\n",
         b"seq=a frames=3 annotated=101\nseq=\xff frames=3 annotated=-\n",

@@ -231,6 +231,7 @@ class TestParamsIO:
         ("h -2 -1", 1),  # negative dimensions with a positive product
         ("h -1", 1),
         ("c 2 3 4", 2),  # the second "c" is the repeat
+        ("h 0 99999999999999999999", 1),  # empty, but too large for numpy
     ])
     def test_bad_manifest_line_is_parse_error(self, line, lineno):
         blob, manifest = save_state(ConvLSTMState(np.zeros((2, 3, 4)), np.zeros((2, 3, 4))))
@@ -245,3 +246,5 @@ class TestParamsIO:
             load_params(blob[:-4], manifest)
         with pytest.raises(TruncatedFile):
             load_params(blob + b"\x00" * 4, manifest)
+        with pytest.raises(TruncatedFile):  # a count past int64 is still just too long
+            load_params(blob, "w_x 99999999999999999999\n" + manifest)
