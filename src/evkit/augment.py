@@ -98,12 +98,6 @@ class SampledAugmentation:
                               np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
-def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _draw_geometric(cfg: AugmentConfig, height: int, width: int, rng: np.random.Generator):
     hflip = rng.random() < cfg.hflip_p
     angle = float(rng.uniform(-cfg.rotate_deg, cfg.rotate_deg)) \
@@ -158,7 +152,7 @@ def sample_augmentation(
     rng: np.random.Generator | int | None,
 ) -> SampledAugmentation:
     """Draw one frame-mode augmentation (geometric stages plus erasure)."""
-    geom_rng, erase_rng = _as_generator(rng).spawn(2)
+    geom_rng, erase_rng = np.random.default_rng(rng).spawn(2)
     hflip, angle, translate, scale, shear, m = _draw_geometric(cfg, height, width, geom_rng)
     erasure = _draw_erasure(cfg, height, width, erase_rng)
     return SampledAugmentation(height, width, hflip, angle, translate, scale, shear,
@@ -265,7 +259,7 @@ def augment_clip(
     if any(f.shape != shape for f in frames):
         raise ShapeMismatch("clip frames must share one shape")
     height, width = shape[1], shape[2]
-    children = _as_generator(rng).spawn(1 + len(frames))
+    children = np.random.default_rng(rng).spawn(1 + len(frames))
     hflip, angle, translate, scale, shear, m = _draw_geometric(
         cfg, height, width, children[0]
     )

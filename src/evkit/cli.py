@@ -162,13 +162,13 @@ def _frame_name(k: int) -> str:
 # --- convert -----------------------------------------------------------------------
 
 
-def _build_frame(stream: EventStream, window_slice, cfg: PipelineConfig) -> bytes:
+def _write_frame(path: Path, stream: EventStream, window_slice, cfg: PipelineConfig) -> None:
     part = slice_window(stream, window_slice.window)
     frame = stacked_histogram(part, window_slice.window, cfg.hist)
     if cfg.downscale_factor > 1:
         frame = downscale(frame, cfg.downscale_factor, cfg.downscale_method)
     frame, _pads = pad_to_multiple(frame, cfg.pad_multiple)
-    return write_evf(frame)
+    path.write_bytes(write_evf(frame))
 
 
 def cmd_convert(args, cfg: PipelineConfig) -> int:
@@ -187,31 +187,21 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
     box_t = np.array([b.t for b in boxes], dtype=np.int64)
     box_ranges = np.searchsorted(box_t, [(w.window.t0, w.window.t1) for w in windows])
 
-    index_lines = []
+    # Each frame lives only inside the call that writes it; submitting a chunk
+    # at a time bounds the pending futures too.
     chunk = max(4 * cfg.threads, 16)
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    try:
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         for lo in range(0, len(windows), chunk):
-            batch = windows[lo : lo + chunk]
-            if pool is not None:
-                blobs = list(pool.map(lambda w: _build_frame(stream, w, cfg), batch))
-            else:
-                blobs = [_build_frame(stream, w, cfg) for w in batch]
-            for k, (w, blob) in enumerate(zip(batch, blobs), start=lo):
-                name = _frame_name(k)
-                (out_dir / name).write_bytes(blob)
-                ann = ",".join(str(i) for i in range(*box_ranges[k])) or "-"
-                index_lines.append(
-                    f"window={k} t0={w.window.t0} t1={w.window.t1} "
-                    f"file={name} partial={int(w.partial)} "
-                    f"events={w.stop - w.start} ann={ann}"
-                )
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    (out_dir / "index.txt").write_text(
-        "".join(line + "\n" for line in index_lines), encoding="ascii"
-    )
+            list(pool.map(
+                lambda k: _write_frame(out_dir / _frame_name(k), stream, windows[k], cfg),
+                range(len(windows))[lo : lo + chunk],
+            ))
+    (out_dir / "index.txt").write_text("".join(
+        f"window={k} t0={w.window.t0} t1={w.window.t1} file={_frame_name(k)} "
+        f"partial={int(w.partial)} events={w.stop - w.start} "
+        f"ann={','.join(map(str, range(*ids))) or '-'}\n"
+        for k, (w, ids) in enumerate(zip(windows, box_ranges))
+    ), encoding="ascii")
     elapsed = time.perf_counter() - t_begin
     rate = len(stream) / elapsed if elapsed > 0 else float("inf")
     print(

@@ -80,8 +80,11 @@ class AnnotatedBox:
             raise ValueError(
                 f"x, y, w and h must be finite, got {self.x}, {self.y}, {self.w}, {self.h}"
             )
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box size must be positive, got {self.w}x{self.h}")
+        # The area bounds both an underflow to 0 (IoU would be 0/0) and an overflow.
+        if self.w <= 0 or self.h <= 0 or not 0 < self.w * self.h < math.inf:
+            raise ValueError(
+                f"box size must be positive with a finite nonzero area, got {self.w}x{self.h}"
+            )
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0,1], got {self.score}")
 

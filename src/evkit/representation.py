@@ -124,7 +124,7 @@ def _accumulate_counts(flat: np.ndarray, n_cells: int, clip: int | None) -> np.n
     cap = COUNT_MAX if clip is None else clip
     if flat.size >= n_cells // 16:
         counts = np.bincount(flat, minlength=n_cells)
-        return np.minimum(counts, cap).astype(np.uint16)
+        return np.minimum(counts, cap, out=counts).astype(np.uint16)
     out = np.zeros(n_cells, dtype=np.uint16)
     cells, counts = np.unique(flat, return_counts=True)
     out[cells] = np.minimum(counts, cap)
@@ -177,11 +177,8 @@ def sum_over_bins(frame: FrameTensor, n_bins: int) -> FrameTensor:
 
 def write_evf(frame: FrameTensor) -> bytes:
     """Serialize to the flat little-endian EVF container (bit-exact)."""
-    if frame.values.dtype == np.uint16:
-        code = 1
-    elif frame.values.dtype == np.float32:
-        code = 2
-    else:
+    code = _EVF_CODES.get(frame.values.dtype)
+    if code is None:
         raise ValueError(f"EVF stores uint16 or float32, not {frame.values.dtype}")
     c, height, width = frame.shape
     header = (

@@ -78,7 +78,7 @@ def plan_epoch(
         raise ValueError("clip_len must be >= 1")
     if n_random < 0 or n_sequential < 0 or n_random + n_sequential == 0:
         raise ValueError("need at least one clip per batch")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
 
     queue = [indices[i] for i in rng.permutation(len(indices))]
     queue.reverse()  # pop() from the tail

@@ -98,7 +98,7 @@ class ConvLSTMParams:
     ) -> "ConvLSTMParams":
         """Random gate weights; the projection (if any) starts at zero so the
         residual insertion is initially the identity."""
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        rng = np.random.default_rng(rng)
         m, d, k = hidden_dim, input_dim, kernel_size
         proj = None if m == d else np.zeros((d, m))
         return cls(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -159,6 +160,26 @@ class TestConvert:
         cli.main(["convert", str(rec), "--output", str(out2), "--config", str(cfgf),
                   "--threads", "4"])
         assert tree_hash(out1) == tree_hash(out2)
+
+    def test_memory_bounded_by_a_window(self, tmp_path):
+        # A 32-window and a 2-window gen1 recording of the same event density:
+        # convert may hold more for the longer one only by less than one padded frame.
+        peaks = []
+        for n_windows in (2, 32):
+            rec = tmp_path / f"rec{n_windows}.evs"
+            stream = make_stream(np.random.default_rng(n_windows), 1_000 * n_windows,
+                                 SensorGeometry(304, 240), 50_000 * n_windows)
+            rec.write_bytes(codec.encode_evs(stream))
+            out = tmp_path / f"out{n_windows}"
+            tracemalloc.start()
+            try:
+                rc = cli.main(["convert", str(rec), "--output", str(out), "--threads", "1"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            assert len(list(out.glob("frame_*.evf"))) == n_windows
+        assert peaks[1] - peaks[0] < 20 * 256 * 320 * 2
 
     def test_dat_input(self, tmp_path):
         import struct

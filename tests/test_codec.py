@@ -167,6 +167,8 @@ class TestAnnotations:
         "t=1 x=0 y=-inf w=2 h=2 class=0 score=1.0 track=-",
         "t=1 x=0 y=0 w=2 h=nan class=0 score=1.0 track=-",
         "t=1 x=0 y=0 w=2 h=2 class=0 score=nan track=-",
+        "t=1 x=0 y=0 w=1e-170 h=1e-170 class=0 score=1.0 track=-",
+        "t=1 x=0 y=0 w=1e200 h=1e200 class=0 score=1.0 track=-",
     ])
     def test_non_finite_is_parse_error(self, tmp_path, line):
         path = tmp_path / "bad.txt"
@@ -175,13 +177,17 @@ class TestAnnotations:
             codec.read_annotations(path)
         assert exc.value.index == 2
 
-    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_box_rejected(self, field, value):
-        fields = dict(t=0, x=1.0, y=1.0, w=2.0, h=2.0, class_id=0)
-        fields[field] = value
+    @pytest.mark.parametrize(("value", "fields"), [
+        *((value, field) for field in "xywh"
+          for value in (float("nan"), float("inf"), float("-inf"))),
+        (1e-170, "wh"),  # w * h underflows to 0
+        (1e200, "wh"),  # w * h overflows to inf
+    ])
+    def test_non_finite_box_rejected(self, value, fields):
+        box = dict(t=0, x=1.0, y=1.0, w=2.0, h=2.0, class_id=0)
+        box.update(dict.fromkeys(fields, value))
         with pytest.raises(ValueError, match="finite"):
-            codec.AnnotatedBox(**fields)
+            codec.AnnotatedBox(**box)
 
     def test_non_ascii_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -5,7 +5,7 @@ import pytest
 
 from evkit import representation as rep
 from evkit.errors import BadHeader, BadMagic, EventOutsideWindow, FutureEvent, TruncatedFile
-from evkit.event_core import Event, SensorGeometry, TimeWindow, validate_stream
+from evkit.event_core import Event, EventStream, SensorGeometry, TimeWindow, validate_stream
 
 from conftest import make_stream
 from oracles import last_event_times, stacked_counts
@@ -62,12 +62,23 @@ class TestStackedHistogram:
             rep.stacked_histogram(validate_stream([], GEOM), TimeWindow(0, 500), cfg)
 
     def test_clip_limit_saturates(self):
-        cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=1, clip_limit=3)
-        events = [Event(10, 4, 5, 1)] * 7
-        s = validate_stream(events, GEOM)
-        f = rep.stacked_histogram(s, TimeWindow(0, 1_000), cfg)
-        assert f.values[1, 5, 4] == 3
-        assert int(f.values.sum(dtype=np.int64)) == 3
+        # n events on one cell, on the sparse and the dense path (dense from a
+        # 16th of the cell count on), capped by clip_limit or at 65535.
+        cases = [  # geometry, events, clip_limit, dense path
+            (GEOM, 7, 3, False),
+            (GEOM, 200, 3, True),
+            (GEOM, 70_000, None, True),
+            (SensorGeometry(1280, 720), 70_000, None, False),
+        ]
+        for geometry, n, clip_limit, dense in cases:
+            assert (n >= 2 * geometry.width * geometry.height // 16) == dense
+            cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=1, clip_limit=clip_limit)
+            s = EventStream(geometry, np.full(n, 10), np.full(n, 4), np.full(n, 5),
+                            np.ones(n))
+            f = rep.stacked_histogram(s, TimeWindow(0, 1_000), cfg)
+            cap = rep.COUNT_MAX if clip_limit is None else clip_limit
+            assert f.values[1, 5, 4] == cap
+            assert int(f.values.sum(dtype=np.int64)) == cap
 
     def test_t_frame_divisibility_enforced(self):
         with pytest.raises(ValueError):
