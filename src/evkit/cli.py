@@ -27,14 +27,14 @@ import numpy as np
 from . import augment as augmod
 from . import codec, detmetrics, sampler
 from .errors import BadHeader, EvkitError, ParseError
-from .event_core import EventStream, SensorGeometry, partition_windows, slice_window
-from .geometry import EVEN_FACTOR_TAPS, downscale, map_boxes, pad_to_multiple
+from .event_core import EventStream, SensorGeometry, WindowSlice, partition_windows
+from .geometry import EVEN_FACTOR_TAPS, map_boxes
 from .representation import (
     StackedHistogramConfig,
     event_rate_stats,
     read_evf,
+    save_evf,
     stacked_histogram,
-    write_evf,
 )
 
 
@@ -162,13 +162,11 @@ def _frame_name(k: int) -> str:
 # --- convert -----------------------------------------------------------------------
 
 
-def _write_frame(path: Path, stream: EventStream, window_slice, cfg: PipelineConfig) -> None:
-    part = slice_window(stream, window_slice.window)
-    frame = stacked_histogram(part, window_slice.window, cfg.hist)
-    if cfg.downscale_factor > 1:
-        frame = downscale(frame, cfg.downscale_factor, cfg.downscale_method)
-    frame, _pads = pad_to_multiple(frame, cfg.pad_multiple)
-    path.write_bytes(write_evf(frame))
+def _write_frame(path: Path, stream: EventStream, w: WindowSlice, cfg: PipelineConfig) -> None:
+    frame = stacked_histogram(
+        stream[w.start : w.stop], w.window, cfg.hist, factor=cfg.downscale_factor,
+        method=cfg.downscale_method, pad_multiple=cfg.pad_multiple)
+    save_evf(path, frame)
 
 
 def cmd_convert(args, cfg: PipelineConfig) -> int:
@@ -244,6 +242,10 @@ def _read_index(frames_dir: Path) -> list[dict]:
             raise ParseError(lineno, str(exc)) from exc
         if t1 <= t0:
             raise ParseError(lineno, f"window ends at t1={t1}, not after t0={t0}")
+        # Ordered, disjoint windows: each frame's boxes are one searchsorted range.
+        if entries and t0 < entries[-1]["t1"]:
+            raise ParseError(lineno, f"window starts at t0={t0}, before the previous "
+                                     f"window's t1={entries[-1]['t1']}")
         entries.append({"file": fields["file"], "t0": t0, "t1": t1})
     return entries
 
@@ -293,7 +295,7 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
         for k, (frame, fb, aug) in enumerate(zip(aug_frames, aug_boxes, log), start=first):
             erase = "-" if aug.erasure is None else ",".join(str(v) for v in aug.erasure)
             log_lines.append(f"clip={c} frame={k} erase={erase}")
-            (out_dir / f"aug_{k:06d}.evf").write_bytes(write_evf(frame))
+            save_evf(out_dir / f"aug_{k:06d}.evf", frame)
             out_boxes.extend(fb)
         del clip_frames, aug_frames, frame
     codec.write_annotations(out_dir / "annotations.txt", out_boxes)

@@ -5,7 +5,9 @@ Two event containers are supported:
 * EVS, the toolkit's canonical container: ASCII magic ``EVS1``, little-endian
   u32 width, u32 height, u64 event count, then one 14-byte record per event
   (u64 t in microseconds, u16 x, u16 y, u8 p, u8 reserved=0).  Fixed stride,
-  no bitfield ambiguity; decode(encode(s)) is the identity.
+  no bitfield ambiguity; decode(encode(s)) is the identity, and decode
+  rejects a nonzero reserved byte, so encode(decode(b)) == b for every b it
+  accepts.
 * DAT 2.0, the common automotive recording layout: optional ASCII header
   lines starting with ``%`` and ending ``\\n``, one byte event type, one byte
   event size (must be 8), then per event two little-endian u32 words: the
@@ -31,6 +33,7 @@ from .errors import (
     BadHeader,
     BadMagic,
     ParseError,
+    ReservedByteSet,
     TruncatedFile,
     VersionUnsupported,
 )
@@ -80,11 +83,15 @@ class AnnotatedBox:
             raise ValueError(
                 f"x, y, w and h must be finite, got {self.x}, {self.y}, {self.w}, {self.h}"
             )
-        # The area bounds both an underflow to 0 (IoU would be 0/0) and an overflow.
-        if self.w <= 0 or self.h <= 0 or not 0 < self.w * self.h < math.inf:
-            raise ValueError(
-                f"box size must be positive with a finite nonzero area, got {self.w}x{self.h}"
-            )
+        # IoU adds w to x and sums two areas: an area that underflows to 0 (IoU
+        # would be 0/0), an edge or twice an area that overflows is rejected.
+        area = self.w * self.h
+        if self.w <= 0 or self.h <= 0 or not 0 < area or not math.isfinite(2 * area):
+            raise ValueError(f"box size must be positive with a finite nonzero area "
+                             f"(twice it finite too), got {self.w}x{self.h}")
+        if not math.isfinite(self.x + self.w) or not math.isfinite(self.y + self.h):
+            raise ValueError(f"box edges x + w and y + h must be finite, got "
+                             f"{self.x} + {self.w} and {self.y} + {self.h}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0,1], got {self.score}")
 
@@ -140,6 +147,10 @@ def decode_evs(data: bytes) -> EventStream:
             f"events ({expected} bytes)"
         )
     records = np.frombuffer(data, EVS_RECORD_DTYPE, offset=EVS_HEADER_SIZE)
+    # A nonzero reserved byte would not survive a re-encode.
+    if records["reserved"].any():
+        first = int(np.flatnonzero(records["reserved"])[0])
+        raise ReservedByteSet(first, f"reserved byte is {records['reserved'][first]}, not 0")
     return EventStream(
         header.geometry, records["t"].astype(np.int64), records["x"],
         records["y"], records["p"],

@@ -68,6 +68,10 @@ class BadHeader(EvkitError):
     """Header fields are malformed or required fields are missing."""
 
 
+class ReservedByteSet(IndexedError):
+    """An EVS record's reserved byte is not 0; index is the record's."""
+
+
 class ParseError(IndexedError):
     """A text record is malformed; index is the 1-based line number."""
 

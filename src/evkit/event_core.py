@@ -111,7 +111,11 @@ class EventStream:
     def __len__(self) -> int:
         return self._t.shape[0]
 
-    def __getitem__(self, i: int) -> Event:
+    def __getitem__(self, i: int | slice) -> Event | EventStream:
+        if isinstance(i, slice):
+            # Only a reversing step can break the time order.
+            return EventStream(self.geometry, self._t[i], self._x[i], self._y[i],
+                               self._p[i], validate=(i.step or 1) < 0)
         return Event(int(self._t[i]), int(self._x[i]), int(self._y[i]), int(self._p[i]))
 
     def __iter__(self) -> Iterator[Event]:
@@ -239,14 +243,7 @@ def slice_window(stream: EventStream, window: TimeWindow) -> EventStream:
     Binary search on the (sorted) timestamps: O(log n + k).
     """
     lo, hi = np.searchsorted(stream.t, [window.t0, window.t1], side="left")
-    return EventStream(
-        stream.geometry,
-        stream.t[lo:hi],
-        stream.x[lo:hi],
-        stream.y[lo:hi],
-        stream.p[lo:hi],
-        validate=False,
-    )
+    return stream[lo:hi]
 
 
 def concat_streams(parts: Sequence[EventStream], geometry: SensorGeometry) -> EventStream:

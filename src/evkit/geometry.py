@@ -11,6 +11,15 @@ few fixed taps per axis, each a strided slice [first::factor] times a weight:
   a = -0.5) weighs four by -1/16, 9/16, 9/16, -1/16.  Only bicubic at
   factor 2 reads past an edge; those reads clamp to the edge pixel.
 
+`source_taps` turns the same taps around: for each source pixel, the output
+pixels it feeds and with what weight, the clamped edge reads folded in.
+`representation.stacked_histogram` scatters clipped counts through that
+table straight into the downscaled, padded layout.  Both builds give the
+same bytes: a count is at most 65535 and a weight is k/16 per axis, so every
+product and partial sum is a dyadic rational that float64 holds exactly, and
+the one float32 cast sees the same value in any summation order.
+`downscale` stays as the slice-based oracle.
+
 Padding is zeros on the bottom/right only, so box coordinates never need an
 offset.
 """
@@ -116,21 +125,48 @@ EVEN_FACTOR_TAPS = {
 }
 
 
+def _taps(factor: int, method: str) -> list[tuple[int, float]]:
+    """(first, weight) pairs: tap j of output d reads source first + d * factor."""
+    if factor < 1:
+        raise ValueError(f"factor must be >= 1, got {factor}")
+    if method not in EVEN_FACTOR_TAPS:
+        raise ValueError(f"unknown method {method!r}")
+    offsets = EVEN_FACTOR_TAPS[method] if factor % 2 == 0 else ((0, 1.0),)
+    return [(factor // 2 + offset, weight) for offset, weight in offsets]
+
+
+def source_taps(size: int, factor: int, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per source pixel of one axis, the outputs it feeds: two (size, K) arrays.
+
+    Row s holds output indices and weights; reads past an edge are clamped
+    to the edge pixel, and taps of one source into one output are summed.
+    Unused slots are output 0 with weight 0.
+    """
+    taps = _taps(factor, method)
+    if size % factor:
+        raise NotDivisible(f"size {size} not divisible by {factor}")
+    out = np.arange(size // factor)
+    src = np.concatenate([np.clip(first + out * factor, 0, size - 1) for first, _ in taps])
+    pairs, which = np.unique(src * len(out) + np.tile(out, len(taps)), return_inverse=True)
+    weight = np.bincount(which, weights=np.repeat([w for _, w in taps], len(out)))
+    src, dst = np.divmod(pairs, len(out))
+    slot = np.arange(len(src)) - np.searchsorted(src, src)
+    index = np.zeros((size, slot.max() + 1), dtype=np.int64)
+    weights = np.zeros(index.shape)
+    index[src, slot] = dst
+    weights[src, slot] = weight
+    return index, weights
+
+
 def downscale(frame: FrameTensor, factor: int, method: str = "bilinear") -> FrameTensor:
     """Shrink (C, H, W) by an integer factor along both axes.
 
     Counts are converted to reals before filtering; output is float32.
     """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
+    taps = _taps(factor, method)
     _, height, width = frame.shape
     if height % factor or width % factor:
         raise NotDivisible(f"{height}x{width} not divisible by {factor}")
-    if method not in EVEN_FACTOR_TAPS:
-        raise ValueError(f"unknown method {method!r}")
-    # Tap (first, weight) reads source pixel first + d * factor for output d.
-    offsets = EVEN_FACTOR_TAPS[method] if factor % 2 == 0 else ((0, 1.0),)
-    taps = [(factor // 2 + offset, weight) for offset, weight in offsets]
     # One edge pad of the input clamps the reads past an edge on both axes.
     lo, hi = max(0, -taps[0][0]), max(0, taps[-1][0] - factor + 1)
     values = frame.values

@@ -10,11 +10,22 @@ per-pixel recency of the last event instead of counts.
 Counts are 16-bit unsigned with saturating accumulation; 50 ms windows can
 exceed 255 events per pixel on fast motion, so 8-bit output is an explicit
 clip_limit export choice rather than the default.
+
+`stacked_histogram` also builds a window's downscaled, padded frame in one
+accumulation per time bin: it counts and clips each occupied
+full-resolution cell of the bin, then scatters count x tap weights into
+the bin's two channels of the final (2B, Hp, Wp) layout with one weighted
+bincount and casts them to float32 once.  Every term is a count of at
+most 65535 times k/16 per axis, so float64 sums them exactly in any order
+and the result matches `geometry.downscale` then `pad_to_multiple` byte for
+byte.  At factor 1 the counts go straight into the padded uint16 layout;
+padding is only the output's row stride.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -85,27 +96,71 @@ class StackedHistogramConfig:
 
 
 def stacked_histogram(
-    stream: EventStream, window: TimeWindow, cfg: StackedHistogramConfig
+    stream: EventStream,
+    window: TimeWindow,
+    cfg: StackedHistogramConfig,
+    *,
+    factor: int = 1,
+    method: str = "bilinear",
+    pad_multiple: int = 1,
 ) -> FrameTensor:
     """Count events per (polarity, time bin, y, x) and flatten to (2B, H, W).
 
     Channel c = p*B + i.  Single pass over the events; with clip_limit unset
     the total count equals the number of events (saturation at 65535 aside).
+
+    `factor`, `method` and `pad_multiple` build the frame that
+    `pad_to_multiple(downscale(frame, factor, method), pad_multiple)` makes of
+    it, byte for byte, without the full-resolution frame: one time bin at a
+    time, each occupied cell's clipped count is scattered through
+    `geometry.source_taps` straight into the padded float32 layout (exact;
+    see the geometry module).  At factor 1 the counts land in the padded
+    uint16 layout directly.
     """
+    from .geometry import source_taps  # geometry imports this module
+
     if window.length != cfg.t_frame:
         raise ValueError(
             f"window length {window.length} does not match t_frame {cfg.t_frame}"
         )
+    if pad_multiple < 1:
+        raise ValueError(f"pad_multiple must be >= 1, got {pad_multiple}")
     t = stream.t
     if len(stream) and (t[0] < window.t0 or t[-1] >= window.t1):
         bad = int(t[0]) if t[0] < window.t0 else int(t[-1])
         raise EventOutsideWindow(f"event at t={bad} outside [{window.t0}, {window.t1})")
     height, width = stream.geometry.height, stream.geometry.width
-    bins = ((t - window.t0) // cfg.t_bin).astype(np.int64)
-    channel = stream.p.astype(np.int64) * cfg.n_bins + bins
-    flat = (channel * height + stream.y) * width + stream.x
-    counts = _accumulate_counts(flat, 2 * cfg.n_bins * height * width, cfg.clip_limit)
-    return FrameTensor(counts.reshape(2 * cfg.n_bins, height, width))
+    (y_index, y_weight), (x_index, x_weight) = (
+        source_taps(height, factor, method), source_taps(width, factor, method))
+    out_h, out_w = height // factor, width // factor
+    out_h, out_w = out_h + -out_h % pad_multiple, out_w + -out_w % pad_multiple
+    if factor == 1:
+        # Flat cell ids, built in one array: numpy reuses an expression's temporaries.
+        cells = stream.p.astype(np.int64) * cfg.n_bins + (t - window.t0) // cfg.t_bin
+        cells = (cells * out_h + stream.y) * out_w + stream.x
+        counts = _accumulate_counts(cells, 2 * cfg.n_bins * out_h * out_w, cfg.clip_limit)
+        return FrameTensor(counts.reshape(2 * cfg.n_bins, out_h, out_w))
+    # One time bin at a time: a bin's events are one contiguous run of the
+    # sorted stream and its cells are its own, so each bin is counted, clipped
+    # and scattered alone, and every temporary is a bin's size, not the window's.
+    cap = COUNT_MAX if cfg.clip_limit is None else cfg.clip_limit
+    id_type = np.uint32 if 2 * height * width <= 2**32 else np.int64  # u32 sorts ~3x faster
+    values = np.empty((2, cfg.n_bins, out_h * out_w), dtype=np.float32)
+    edges = np.searchsorted(t, window.t0 + cfg.t_bin * np.arange(cfg.n_bins + 1))
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        cells, counts = np.unique(
+            (stream.p[lo:hi].astype(id_type) * height + stream.y[lo:hi]) * width
+            + stream.x[lo:hi], return_counts=True)
+        np.minimum(counts, cap, out=counts)
+        p, cells = np.divmod(cells, height * width)
+        y, x = np.divmod(cells, width)
+        # One (cell, y tap, x tap) term per table slot; unused slots add 0 to pixel 0.
+        flat = ((p.astype(np.int64)[:, None, None] * out_h + y_index[y][:, :, None]) * out_w
+                + x_index[x][:, None, :])
+        weights = counts[:, None, None] * y_weight[y][:, :, None] * x_weight[x][:, None, :]
+        values[:, i] = np.bincount(flat.ravel(), weights=weights.ravel(),
+                                   minlength=2 * out_h * out_w).reshape(2, -1)
+    return FrameTensor(values.reshape(2 * cfg.n_bins, out_h, out_w))
 
 
 def histogram2d(stream: EventStream, window: TimeWindow) -> FrameTensor:
@@ -175,8 +230,8 @@ def sum_over_bins(frame: FrameTensor, n_bins: int) -> FrameTensor:
 # --- EVF tensor container -------------------------------------------------------
 
 
-def write_evf(frame: FrameTensor) -> bytes:
-    """Serialize to the flat little-endian EVF container (bit-exact)."""
+def _evf_parts(frame: FrameTensor) -> tuple[bytes, np.ndarray]:
+    """The EVF header and the values in file order."""
     code = _EVF_CODES.get(frame.values.dtype)
     if code is None:
         raise ValueError(f"EVF stores uint16 or float32, not {frame.values.dtype}")
@@ -188,7 +243,21 @@ def write_evf(frame: FrameTensor) -> bytes:
         + int(height).to_bytes(4, "little")
         + int(width).to_bytes(4, "little")
     )
-    return header + np.ascontiguousarray(frame.values, dtype=_EVF_DTYPES[code]).tobytes()
+    return header, np.ascontiguousarray(frame.values, dtype=_EVF_DTYPES[code])
+
+
+def write_evf(frame: FrameTensor) -> bytes:
+    """Serialize to the flat little-endian EVF container (bit-exact)."""
+    header, values = _evf_parts(frame)
+    return b"".join((header, values.data))  # one copy of the values
+
+
+def save_evf(path: str | Path, frame: FrameTensor) -> None:
+    """Write `write_evf(frame)` to `path` from the frame's own buffer, with no copy."""
+    header, values = _evf_parts(frame)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(values.data)
 
 
 def read_evf(data: bytes) -> FrameTensor:

@@ -384,6 +384,20 @@ class TestErrors:
         assert err.count("\n") == 1
         assert err.startswith("error code=ParseError")
 
+    def test_index_windows_ordered_and_disjoint(self, tmp_path):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        ok = ["window=0 t0=0 t1=50000 file=a.evf", "window=1 t0=50000 t1=100000 file=b.evf",
+              "window=2 t0=150000 t1=200000 file=c.evf"]  # adjacent, then a gap
+        (frames / "index.txt").write_text("\n".join(ok) + "\n")
+        assert [e["t0"] for e in cli._read_index(frames)] == [0, 50_000, 150_000]
+        for bad in ("window=3 t0=199999 t1=250000 file=d.evf",  # overlaps window 2
+                    "window=3 t0=0 t1=50000 file=d.evf"):  # out of order
+            (frames / "index.txt").write_text("\n".join(ok + [bad]) + "\n")
+            with pytest.raises(ParseError) as exc:
+                cli._read_index(frames)
+            assert exc.value.index == 4
+
     def test_missing_index_is_bad_header(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         frames.mkdir()

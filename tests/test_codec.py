@@ -11,6 +11,7 @@ from evkit.errors import (
     BadMagic,
     EvkitError,
     ParseError,
+    ReservedByteSet,
     TruncatedFile,
     VersionUnsupported,
 )
@@ -73,6 +74,30 @@ class TestEvs:
             codec.decode_evs(blob[:-1])
         with pytest.raises(TruncatedFile):
             codec.decode_evs(blob + b"\x00")
+
+    def test_nonzero_reserved_byte_rejected(self, rng):
+        blob = bytearray(codec.encode_evs(make_stream(rng, 6, GEN1, 100)))
+        for k in (4, 2):
+            blob[codec.EVS_HEADER_SIZE + k * codec.EVS_RECORD_SIZE + 13] = 0x80
+        with pytest.raises(ReservedByteSet) as exc:
+            codec.decode_evs(bytes(blob))
+        assert exc.value.index == 2
+
+    def test_accepted_bytes_reencode_identically(self, rng):
+        # Flip one random byte of a valid file at a time: decode either raises a
+        # named error or gives a stream that encodes back to the same bytes.
+        blob = codec.encode_evs(make_stream(rng, 20, GEN1, 1_000))
+        accepted = 0
+        for _ in range(2_000):
+            data = bytearray(blob)
+            data[int(rng.integers(0, len(data)))] ^= 1 << int(rng.integers(0, 8))
+            try:
+                stream = codec.decode_evs(bytes(data))
+            except EvkitError:
+                continue
+            accepted += 1
+            assert codec.encode_evs(stream) == bytes(data)
+        assert accepted > 0
 
 
 def dat_blob(events, header=b"% Width 304\n% Height 240\n", event_size=8):
@@ -169,6 +194,9 @@ class TestAnnotations:
         "t=1 x=0 y=0 w=2 h=2 class=0 score=nan track=-",
         "t=1 x=0 y=0 w=1e-170 h=1e-170 class=0 score=1.0 track=-",
         "t=1 x=0 y=0 w=1e200 h=1e200 class=0 score=1.0 track=-",
+        "t=1 x=0 y=0 w=1e154 h=1e154 class=0 score=1.0 track=-",
+        "t=1 x=1.79e308 y=0 w=1e306 h=2 class=0 score=1.0 track=-",
+        "t=1 x=0 y=1.79e308 w=2 h=1e306 class=0 score=1.0 track=-",
     ])
     def test_non_finite_is_parse_error(self, tmp_path, line):
         path = tmp_path / "bad.txt"
@@ -182,6 +210,7 @@ class TestAnnotations:
           for value in (float("nan"), float("inf"), float("-inf"))),
         (1e-170, "wh"),  # w * h underflows to 0
         (1e200, "wh"),  # w * h overflows to inf
+        (1e154, "wh"),  # w * h is finite, the sum of two such areas is not
     ])
     def test_non_finite_box_rejected(self, value, fields):
         box = dict(t=0, x=1.0, y=1.0, w=2.0, h=2.0, class_id=0)

@@ -206,6 +206,17 @@ class TestEvaluate:
         r = evaluate_boxes(preds, gts)
         assert r.map == 1.0 and r.map50 == 1.0 and r.map75 == 1.0
 
+    @pytest.mark.parametrize("gt", [
+        box(x=1.79e308, w=1e300, h=2.0),  # right edge just below the float max
+        box(y=1.79e308, w=2.0, h=1e300),
+        box(w=7e153, h=7e153),  # twice the area is still finite
+    ], ids=["x-edge", "y-edge", "area"])
+    def test_largest_accepted_boxes_score_perfectly(self, gt):
+        # AnnotatedBox rejects an edge or twice an area that overflows, so
+        # every box it keeps has a finite IoU with itself (no RuntimeWarning).
+        assert iou([gt], [gt])[0, 0] == pytest.approx(1.0)
+        assert evaluate_boxes([gt], [gt]).map == 1.0
+
     def test_fully_shifted_predictions_zero(self, rng):
         gts = random_boxes(rng, 20, [0, 50_000])
         preds = [AnnotatedBox(t=g.t, x=g.x + 1000, y=g.y, w=g.w, h=g.h,

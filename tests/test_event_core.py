@@ -147,6 +147,14 @@ class TestSliceWindow:
         assert sum(len(p) for p in slices) == len(s)
         assert concat_streams(slices, GEN1) == s
 
+    def test_stream_slice_matches_window_slice(self, rng):
+        s = make_stream(rng, 2_000, GEN1, 300_000)
+        for w in partition_windows(s, 50_000):
+            assert s[w.start : w.stop] == slice_window(s, w.window)
+        assert s[::3] == validate_stream([(e.t, e.x, e.y, e.p) for e in s][::3], GEN1)
+        with pytest.raises(NonMonotoneTimestamp):
+            s[::-1]
+
     def test_order_preserved_with_ties(self):
         s = validate_stream(
             [Event(5, 1, 0, 1), Event(5, 2, 0, 0), Event(5, 3, 0, 1)], GEN1

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from evkit import representation as rep
-from evkit.errors import BadHeader, BadMagic, EventOutsideWindow, FutureEvent, TruncatedFile
+from evkit.errors import (BadHeader, BadMagic, EventOutsideWindow, FutureEvent, NotDivisible,
+                          TruncatedFile)
 from evkit.event_core import Event, EventStream, SensorGeometry, TimeWindow, validate_stream
+from evkit.geometry import EVEN_FACTOR_TAPS, downscale, pad_to_multiple
 
 from conftest import make_stream
 from oracles import last_event_times, stacked_counts
@@ -90,6 +92,72 @@ class TestStackedHistogram:
         f = rep.stacked_histogram(s, TimeWindow(100, 200), cfg)
         assert f.values[0, 1, 1] == 1  # bin 0: [100, 150)
         assert f.values[1, 1, 1] == 1  # bin 1: [150, 200)
+
+
+class TestDownscaledPaddedLayout:
+    """factor/method/pad_multiple build what downscale and pad_to_multiple make."""
+
+    GEOMETRY = SensorGeometry(36, 24)  # divisible by 1-4; no pad of 7 divides it
+
+    def _windows(self, rng):
+        g = self.GEOMETRY
+        n_cells = 2 * 4 * g.width * g.height
+        # 70,000 events on one right-edge cell saturate it; 300 more go anywhere.
+        background = make_stream(rng, 300, g, 1_000)
+        order = np.argsort(np.concatenate([background.t, np.full(70_000, 500)]), kind="stable")
+        hot = [np.concatenate([column, np.full(70_000, value)])[order] for column, value in
+               ((background.t, 500), (background.x, 35), (background.y, 0), (background.p, 1))]
+        return {"dense": make_stream(rng, n_cells // 4, g, 1_000),
+                "sparse": make_stream(rng, 40, g, 1_000),
+                "empty": validate_stream([], g),
+                "saturated": EventStream(g, *hot)}
+
+    @pytest.mark.parametrize("clip_limit", [None, 3])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("method", sorted(EVEN_FACTOR_TAPS))
+    def test_matches_downscale_then_pad(self, rng, method, factor, clip_limit):
+        cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=4, clip_limit=clip_limit)
+        window = TimeWindow(0, 1_000)
+        for name, stream in self._windows(rng).items():
+            frame = rep.stacked_histogram(stream, window, cfg)
+            if factor > 1:
+                frame = downscale(frame, factor, method)
+            for multiple in (1, 7):
+                expected, _ = pad_to_multiple(frame, multiple)
+                got = rep.stacked_histogram(stream, window, cfg, factor=factor,
+                                            method=method, pad_multiple=multiple)
+                assert got.values.dtype == expected.values.dtype, name
+                assert got.shape == expected.shape, name
+                assert got.values.tobytes() == expected.values.tobytes(), name
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_events_on_bin_edges_of_a_later_window(self, factor):
+        # Downscaled frames are built one time bin at a time; each event on
+        # either side of an edge must land in its own bin.
+        g = self.GEOMETRY
+        cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=4)
+        window = TimeWindow(7_000, 8_000)
+        t = np.repeat(7_000 + np.array([0, 249, 250, 499, 500, 749, 750, 999]), 3)
+        k = np.arange(t.size)
+        stream = EventStream(g, t, (5 * k) % g.width, (7 * k) % g.height, k % 2)
+        frame = rep.stacked_histogram(stream, window, cfg)
+        if factor > 1:
+            frame = downscale(frame, factor, "bilinear")
+        got = rep.stacked_histogram(stream, window, cfg, factor=factor, pad_multiple=5)
+        assert got.values.tobytes() == pad_to_multiple(frame, 5)[0].values.tobytes()
+
+    def test_bad_arguments(self):
+        cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=1)
+        s = validate_stream([], GEOM)  # 32x24
+        window = TimeWindow(0, 1_000)
+        with pytest.raises(NotDivisible):
+            rep.stacked_histogram(s, window, cfg, factor=5)
+        with pytest.raises(ValueError):
+            rep.stacked_histogram(s, window, cfg, factor=0)
+        with pytest.raises(ValueError):
+            rep.stacked_histogram(s, window, cfg, factor=2, method="area")
+        with pytest.raises(ValueError):
+            rep.stacked_histogram(s, window, cfg, pad_multiple=0)
 
 
 class TestHistogram2d:
@@ -213,6 +281,18 @@ class TestEvfContainer:
     def test_rejects_other_dtypes(self):
         with pytest.raises(ValueError):
             rep.write_evf(rep.FrameTensor(np.zeros((1, 2, 2), dtype=np.float64)))
+
+    def test_save_writes_the_same_bytes(self, rng, tmp_path):
+        values = rng.normal(size=(3, 5, 14)).astype(np.float32)
+        frames = [values, values[:, :, ::2], np.asfortranarray(values),
+                  rng.integers(0, 2**16, (2, 4, 6)).astype(np.uint16)]
+        for k, v in enumerate(frames):
+            frame = rep.FrameTensor(v)
+            rep.save_evf(tmp_path / f"{k}.evf", frame)
+            assert (tmp_path / f"{k}.evf").read_bytes() == rep.write_evf(frame)
+        with pytest.raises(ValueError):
+            rep.save_evf(tmp_path / "bad.evf",
+                         rep.FrameTensor(np.zeros((1, 2, 2), dtype=np.float64)))
 
 
 class TestStats:
