@@ -9,10 +9,11 @@ Two event containers are supported:
   rejects a nonzero reserved byte, so encode(decode(b)) == b for every b it
   accepts.
 * DAT 2.0, the common automotive recording layout: optional ASCII header
-  lines starting with ``%`` and ending ``\\n``, one byte event type, one byte
-  event size (must be 8), then per event two little-endian u32 words: the
-  first is the timestamp in microseconds, the second packs x in bits 0-13,
-  y in bits 14-27 and polarity in bits 28-31 (nonzero means positive).
+  lines starting with ``%`` and ending ``\\n``, one byte event type (0x00
+  for 2D or 0x0C for CD events; any other is a BadHeader), one byte event
+  size (must be 8), then per event two little-endian u32 words: the first
+  is the timestamp in microseconds, the second packs x in bits 0-13, y in
+  bits 14-27 and polarity in bits 28-31 (nonzero means positive).
 
 Annotations use a line-delimited text format (one ``key=value`` record per
 line) so golden files stay diffable.
@@ -47,6 +48,7 @@ EVS_RECORD_DTYPE = np.dtype(
 EVS_RECORD_SIZE = EVS_RECORD_DTYPE.itemsize  # 14 bytes
 
 DAT_RECORD_SIZE = 8
+DAT_EVENT_TYPES = (0x00, 0x0C)  # 2D and CD events share the record layout
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,10 @@ def decode_dat(data: bytes, geometry: SensorGeometry | None = None) -> EventStre
         pos = end + 1
     if len(data) - pos < 2:
         raise TruncatedFile("missing event_type/event_size bytes")
-    event_size = data[pos + 1]
+    event_type, event_size = data[pos], data[pos + 1]
     pos += 2
+    if event_type not in DAT_EVENT_TYPES:
+        raise BadHeader(f"event_type must be 0x00 or 0x0C, got {event_type:#04x}")
     if event_size != DAT_RECORD_SIZE:
         raise BadHeader(f"event_size must be {DAT_RECORD_SIZE}, got {event_size}")
     body = len(data) - pos

@@ -152,7 +152,7 @@ def _check_invariants(t, x, y, p, geometry: SensorGeometry) -> None:
     first = {}
     # A negative first timestamp is reported as non-monotone w.r.t. the
     # implicit time origin 0.
-    bad_t = np.flatnonzero(np.diff(t) < 0)
+    bad_t = np.flatnonzero(t[1:] < t[:-1])
     if t[0] < 0:
         first[NonMonotoneTimestamp] = 0
     elif bad_t.size:

@@ -18,8 +18,10 @@ the bin's two channels of the final (2B, Hp, Wp) layout with one weighted
 bincount and casts them to float32 once.  Every term is a count of at
 most 65535 times k/16 per axis, so float64 sums them exactly in any order
 and the result matches `geometry.downscale` then `pad_to_multiple` byte for
-byte.  At factor 1 the counts go straight into the padded uint16 layout;
-padding is only the output's row stride.
+byte.  At factor 1 there is nothing to scatter: one sort of the events'
+flat (p, bin, y, x) ids in the padded layout counts them, and the clipped
+counts go straight into the padded uint16 frame, so padding is only the
+output's row stride.  Cell ids are 32-bit unless the id space exceeds 2**32.
 """
 
 from __future__ import annotations
@@ -114,8 +116,9 @@ def stacked_histogram(
     it, byte for byte, without the full-resolution frame: one time bin at a
     time, each occupied cell's clipped count is scattered through
     `geometry.source_taps` straight into the padded float32 layout (exact;
-    see the geometry module).  At factor 1 the counts land in the padded
-    uint16 layout directly.
+    see the geometry module).  At factor 1 one `np.unique` over the events'
+    padded (p, bin, y, x) ids counts the whole window, and the clipped counts
+    land in the padded uint16 layout directly.
     """
     from .geometry import source_taps  # geometry imports this module
 
@@ -134,17 +137,22 @@ def stacked_histogram(
         source_taps(height, factor, method), source_taps(width, factor, method))
     out_h, out_w = height // factor, width // factor
     out_h, out_w = out_h + -out_h % pad_multiple, out_w + -out_w % pad_multiple
+    cap = COUNT_MAX if cfg.clip_limit is None else cfg.clip_limit
+    n_ids = 2 * cfg.n_bins * out_h * out_w if factor == 1 else 2 * height * width
+    id_type = np.uint32 if n_ids <= 2**32 else np.int64  # u32 sorts ~3x faster
     if factor == 1:
-        # Flat cell ids, built in one array: numpy reuses an expression's temporaries.
-        cells = stream.p.astype(np.int64) * cfg.n_bins + (t - window.t0) // cfg.t_bin
-        cells = (cells * out_h + stream.y) * out_w + stream.x
-        counts = _accumulate_counts(cells, 2 * cfg.n_bins * out_h * out_w, cfg.clip_limit)
-        return FrameTensor(counts.reshape(2 * cfg.n_bins, out_h, out_w))
+        # Flat (p, bin, y, x) ids of the padded layout, built in one array:
+        # numpy reuses an expression's temporaries.
+        cells = (stream.p.astype(id_type) * cfg.n_bins
+                 + ((t - window.t0) // cfg.t_bin).astype(id_type))
+        cells, counts = np.unique((cells * out_h + stream.y) * out_w + stream.x,
+                                  return_counts=True)
+        values = np.zeros(n_ids, dtype=np.uint16)
+        values[cells] = np.minimum(counts, cap)
+        return FrameTensor(values.reshape(2 * cfg.n_bins, out_h, out_w))
     # One time bin at a time: a bin's events are one contiguous run of the
     # sorted stream and its cells are its own, so each bin is counted, clipped
     # and scattered alone, and every temporary is a bin's size, not the window's.
-    cap = COUNT_MAX if cfg.clip_limit is None else cfg.clip_limit
-    id_type = np.uint32 if 2 * height * width <= 2**32 else np.int64  # u32 sorts ~3x faster
     values = np.empty((2, cfg.n_bins, out_h * out_w), dtype=np.float32)
     edges = np.searchsorted(t, window.t0 + cfg.t_bin * np.arange(cfg.n_bins + 1))
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
@@ -167,23 +175,6 @@ def histogram2d(stream: EventStream, window: TimeWindow) -> FrameTensor:
     """Per-polarity event counts over the whole window: a (2, H, W) frame."""
     cfg = StackedHistogramConfig(t_frame=window.length, n_bins=1)
     return stacked_histogram(stream, window, cfg)
-
-
-def _accumulate_counts(flat: np.ndarray, n_cells: int, clip: int | None) -> np.ndarray:
-    """Exact per-cell counts of flat indices, saturating at clip (or u16 max).
-
-    Dense windows use one bincount; sparse ones (vs. the cell count) sort the
-    few occupied cells instead, so the per-window cost never degenerates to a
-    full-size int64 zero-fill for near-empty windows.
-    """
-    cap = COUNT_MAX if clip is None else clip
-    if flat.size >= n_cells // 16:
-        counts = np.bincount(flat, minlength=n_cells)
-        return np.minimum(counts, cap, out=counts).astype(np.uint16)
-    out = np.zeros(n_cells, dtype=np.uint16)
-    cells, counts = np.unique(flat, return_counts=True)
-    out[cells] = np.minimum(counts, cap)
-    return out
 
 
 def time_surface(

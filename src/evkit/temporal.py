@@ -145,11 +145,10 @@ def convlstm_step(
         raise ShapeMismatch(f"input has {d} channels, params expect {params.input_dim}")
     if state.h.shape != (m, h, w):
         raise ShapeMismatch(f"state is {state.h.shape}, expected {(m, h, w)}")
-    pre = (
-        _conv2d_same(np.asarray(x.values, dtype=np.float64), params.w_x)
-        + _conv2d_same(state.h, params.w_h)
-        + params.bias[:, None, None]
-    )
+    # One convolution over the stacked [x, h] channels gives every gate's input.
+    pre = _conv2d_same(np.concatenate([x.values, state.h], dtype=np.float64),
+                       np.concatenate([params.w_x, params.w_h], axis=1))
+    pre += params.bias[:, None, None]
     gi = _sigmoid(pre[:m])
     gf = _sigmoid(pre[m : 2 * m])
     gg = np.tanh(pre[2 * m : 3 * m])

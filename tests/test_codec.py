@@ -100,24 +100,25 @@ class TestEvs:
         assert accepted > 0
 
 
-def dat_blob(events, header=b"% Width 304\n% Height 240\n", event_size=8):
+def dat_blob(events, header=b"% Width 304\n% Height 240\n", event_size=8, event_type=0x00):
     body = b""
     for t, x, y, p in events:
         body += struct.pack("<II", t, (x & 0x3FFF) | ((y & 0x3FFF) << 14) | (p << 28))
-    return header + bytes([0x00, event_size]) + body
+    return header + bytes([event_type, event_size]) + body
 
 
 class TestDat:
     GOLDEN_EVENTS = [(10, 5, 7, 1), (20, 303, 239, 0), (30, 0, 0, 0xF)]
 
     def test_golden_blob(self):
-        s = codec.decode_dat(dat_blob(self.GOLDEN_EVENTS))
-        assert [(e.t, e.x, e.y, e.p) for e in s] == [
-            (10, 5, 7, 1),
-            (20, 303, 239, 0),
-            (30, 0, 0, 1),  # any nonzero polarity nibble decodes to 1
-        ]
-        assert s.geometry == GEN1
+        for event_type in (0x00, 0x0C):  # 2D and CD events
+            s = codec.decode_dat(dat_blob(self.GOLDEN_EVENTS, event_type=event_type))
+            assert [(e.t, e.x, e.y, e.p) for e in s] == [
+                (10, 5, 7, 1),
+                (20, 303, 239, 0),
+                (30, 0, 0, 1),  # any nonzero polarity nibble decodes to 1
+            ]
+            assert s.geometry == GEN1
 
     def test_zero_event_body(self):
         s = codec.decode_dat(dat_blob([]))
@@ -152,6 +153,11 @@ class TestDat:
     def test_bad_event_size(self):
         with pytest.raises(BadHeader):
             codec.decode_dat(dat_blob([], event_size=4))
+
+    @pytest.mark.parametrize("event_type", [0x0E, 0xFF])
+    def test_unknown_event_type(self, event_type):
+        with pytest.raises(BadHeader, match=f"{event_type:#04x}"):
+            codec.decode_dat(dat_blob([(1, 2, 3, 1)], event_type=event_type))
 
     def test_unterminated_header(self):
         with pytest.raises(TruncatedFile):

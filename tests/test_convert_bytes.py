@@ -46,7 +46,7 @@ def _tree_digest(root: Path) -> str:
 
 
 # name -> (config, geometry, events per window, seed, sha256 of the output tree).
-# gen1 windows straddle the dense/sparse count switch (91,200 and 102,400 events).
+# gen1 windows span 4,000 to 130,000 events, all counted by the one factor-1 sort.
 CASES = {
     "gen1-like": (
         "[pipeline]\npreset = gen1-like\n",

@@ -28,11 +28,13 @@ class TestStackedHistogram:
         f = rep.stacked_histogram(validate_stream([], GEOM), TimeWindow(0, 50_000), cfg)
         assert not f.values.any()
 
-    def test_matches_brute_force_counts(self, rng):
+    # 40,000 events on 15,360 cells: more events than cells, most cells hit.
+    @pytest.mark.parametrize("n", [2_000, 40_000])
+    def test_matches_brute_force_counts(self, rng, n):
         cfg = rep.StackedHistogramConfig(t_frame=10_000, n_bins=10)
-        s = make_stream(rng, 2_000, GEOM, 10_000)
+        s = make_stream(rng, n, GEOM, 10_000)
         f = rep.stacked_histogram(s, TimeWindow(0, 10_000), cfg)
-        assert int(f.values.sum(dtype=np.int64)) == 2_000
+        assert int(f.values.sum(dtype=np.int64)) == n
         expected = stacked_counts(
             [(e.t, e.x, e.y, e.p) for e in s], 0, cfg.t_bin, cfg.n_bins,
             GEOM.height, GEOM.width,
@@ -64,16 +66,15 @@ class TestStackedHistogram:
             rep.stacked_histogram(validate_stream([], GEOM), TimeWindow(0, 500), cfg)
 
     def test_clip_limit_saturates(self):
-        # n events on one cell, on the sparse and the dense path (dense from a
-        # 16th of the cell count on), capped by clip_limit or at 65535.
-        cases = [  # geometry, events, clip_limit, dense path
-            (GEOM, 7, 3, False),
-            (GEOM, 200, 3, True),
-            (GEOM, 70_000, None, True),
-            (SensorGeometry(1280, 720), 70_000, None, False),
+        # n events on one cell, fewer or more than the frame has cells,
+        # capped by clip_limit or at 65535.
+        cases = [  # geometry, events, clip_limit
+            (GEOM, 7, 3),
+            (GEOM, 200, 3),
+            (GEOM, 70_000, None),
+            (SensorGeometry(1280, 720), 70_000, None),
         ]
-        for geometry, n, clip_limit, dense in cases:
-            assert (n >= 2 * geometry.width * geometry.height // 16) == dense
+        for geometry, n, clip_limit in cases:
             cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=1, clip_limit=clip_limit)
             s = EventStream(geometry, np.full(n, 10), np.full(n, 4), np.full(n, 5),
                             np.ones(n))
