@@ -10,14 +10,16 @@ touches the labels.
 Video mode freezes the geometric draw for a whole clip and redraws erasure
 per frame.  The clip draw and the per-frame erasure draws use disjoint RNG
 substreams, so the number of frames never perturbs the geometric parameters,
-and a one-frame clip reproduces frame-mode sampling exactly.
+and a one-frame clip reproduces frame-mode sampling exactly.  `augment_clip`
+yields each frame as it is augmented, so a clip costs O(frame) memory, not
+O(clip length x frame).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -244,32 +246,27 @@ def apply_to_boxes(
 
 
 def augment_clip(
-    frames: Sequence[FrameTensor],
-    boxes_per_frame: Sequence[Sequence[AnnotatedBox]],
+    frames: Iterable[FrameTensor],
+    boxes_per_frame: Iterable[Sequence[AnnotatedBox]],
     cfg: AugmentConfig,
     rng: np.random.Generator | int | None,
-) -> tuple[list[FrameTensor], list[list[AnnotatedBox]], list[SampledAugmentation]]:
+) -> Iterator[tuple[FrameTensor, list[AnnotatedBox], SampledAugmentation]]:
     """Video-mode augmentation: one geometric draw for the clip, fresh erasure
-    per frame.  Returns (frames, boxes, per-frame draw log)."""
-    if not frames:
+    per frame.  Yields (frame, boxes, draw) per frame, pulling each input frame
+    only when it is augmented."""
+    rng = np.random.default_rng(rng)
+    shape = None
+    # spawn(1) numbers its children in turn, so child 0 is the geometric draw
+    # and child 1 + k is frame k's erasure, however many frames follow.
+    for frame, boxes in zip(frames, boxes_per_frame, strict=True):
+        if shape is None:
+            shape, height, width = frame.shape, frame.height, frame.width
+            geo = _draw_geometric(cfg, height, width, rng.spawn(1)[0])
+        elif frame.shape != shape:
+            raise ShapeMismatch("clip frames must share one shape")
+        aug = SampledAugmentation(height, width, *geo,
+                                  _draw_erasure(cfg, height, width, rng.spawn(1)[0]))
+        yield (apply_to_frame(frame, aug),
+               apply_to_boxes(boxes, aug, cfg.min_box_area, cfg.min_box_visibility), aug)
+    if shape is None:
         raise ValueError("clip must contain at least one frame")
-    if len(boxes_per_frame) != len(frames):
-        raise ValueError("boxes_per_frame must align with frames")
-    shape = frames[0].shape
-    if any(f.shape != shape for f in frames):
-        raise ShapeMismatch("clip frames must share one shape")
-    height, width = shape[1], shape[2]
-    children = np.random.default_rng(rng).spawn(1 + len(frames))
-    hflip, angle, translate, scale, shear, m = _draw_geometric(
-        cfg, height, width, children[0]
-    )
-    out_frames, out_boxes, log = [], [], []
-    for k, (frame, boxes) in enumerate(zip(frames, boxes_per_frame)):
-        erasure = _draw_erasure(cfg, height, width, children[1 + k])
-        aug = SampledAugmentation(height, width, hflip, angle, translate, scale,
-                                  shear, m, erasure)
-        out_frames.append(apply_to_frame(frame, aug))
-        out_boxes.append(apply_to_boxes(boxes, aug, cfg.min_box_area,
-                                        cfg.min_box_visibility))
-        log.append(aug)
-    return out_frames, out_boxes, log

@@ -272,32 +272,30 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
 
     log_lines = []
     out_boxes: list[codec.AnnotatedBox] = []
-    # Each clip is read, augmented, written and released before the next is read.
+    # Each frame is read, augmented and written before the next is read.
     for c, (first, rng) in enumerate(zip(starts, children)):
-        clip = slice(first, first + clip_len)
-        clip_frames = [read_evf((frames_dir / e["file"]).read_bytes()) for e in entries[clip]]
-        clip_boxes = [boxes[lo:hi] for lo, hi in box_ranges[clip]]
-        aug_frames, aug_boxes, log = augmod.augment_clip(
-            clip_frames, clip_boxes, cfg.augment, rng
-        )
-        geo = log[0]
-        affine = ",".join(repr(float(v)) for v in geo.transform.matrix.ravel())
-        log_lines.append(
-            f"clip={c} frames={len(clip_frames)} hflip={int(geo.hflip)} "
-            f"angle={_format_opt(geo.angle_deg)} "
-            f"tx={_format_opt(geo.translate_px[0] if geo.translate_px else None)} "
-            f"ty={_format_opt(geo.translate_px[1] if geo.translate_px else None)} "
-            f"scale={_format_opt(geo.scale)} "
-            f"shear_x={_format_opt(geo.shear_deg[0] if geo.shear_deg else None)} "
-            f"shear_y={_format_opt(geo.shear_deg[1] if geo.shear_deg else None)} "
-            f"affine={affine}"
-        )
-        for k, (frame, fb, aug) in enumerate(zip(aug_frames, aug_boxes, log), start=first):
+        clip = entries[first : first + clip_len]
+        frames = (read_evf((frames_dir / e["file"]).read_bytes()) for e in clip)
+        clip_boxes = [boxes[lo:hi] for lo, hi in box_ranges[first : first + clip_len]]
+        for k, (frame, fb, aug) in enumerate(
+            augmod.augment_clip(frames, clip_boxes, cfg.augment, rng), start=first
+        ):
+            if k == first:
+                affine = ",".join(repr(float(v)) for v in aug.transform.matrix.ravel())
+                log_lines.append(
+                    f"clip={c} frames={len(clip)} hflip={int(aug.hflip)} "
+                    f"angle={_format_opt(aug.angle_deg)} "
+                    f"tx={_format_opt(aug.translate_px[0] if aug.translate_px else None)} "
+                    f"ty={_format_opt(aug.translate_px[1] if aug.translate_px else None)} "
+                    f"scale={_format_opt(aug.scale)} "
+                    f"shear_x={_format_opt(aug.shear_deg[0] if aug.shear_deg else None)} "
+                    f"shear_y={_format_opt(aug.shear_deg[1] if aug.shear_deg else None)} "
+                    f"affine={affine}"
+                )
             erase = "-" if aug.erasure is None else ",".join(str(v) for v in aug.erasure)
             log_lines.append(f"clip={c} frame={k} erase={erase}")
             save_evf(out_dir / f"aug_{k:06d}.evf", frame)
             out_boxes.extend(fb)
-        del clip_frames, aug_frames, frame
     codec.write_annotations(out_dir / "annotations.txt", out_boxes)
     (out_dir / "aug_log.txt").write_text(
         "".join(line + "\n" for line in log_lines), encoding="ascii"

@@ -194,12 +194,12 @@ def decode_dat(data: bytes, geometry: SensorGeometry | None = None) -> EventStre
         geometry = _header_geometry(found.get("width", 0), found.get("height", 0))
     elif geometry is None:
         raise BadHeader("no geometry in header and none supplied")
-    words = np.frombuffer(data, "<u4", offset=pos).reshape(-1, 2)
-    t = words[:, 0].astype(np.int64)
-    packed = words[:, 1]
-    x = (packed & 0x3FFF).astype(np.uint16)
-    y = ((packed >> 14) & 0x3FFF).astype(np.uint16)
-    p = ((packed >> 28) != 0).astype(np.uint8)
+    t = np.frombuffer(data, "<u4", offset=pos)[::2].astype(np.int64)
+    # The packed word's 16-bit halves: x is bits 0-13, y bits 14-27, p bits 28-31.
+    lo, hi = np.frombuffer(data, "<u2", offset=pos).reshape(-1, 4)[:, 2:].T
+    x = lo & 0x3FFF
+    y = ((lo >> 14) | (hi << 2)) & 0x3FFF
+    p = (hi >> 12 != 0).view(np.uint8)
     return EventStream(geometry, t, x, y, p)
 
 

@@ -143,8 +143,8 @@ class EventStream:
 def _check_invariants(t, x, y, p, geometry: SensorGeometry) -> None:
     """Raise the violation with the smallest event index, if any.
 
-    Works on signed or unsigned coordinate arrays; the x < 0 style terms are
-    vacuous (and free) for the unsigned storage dtypes.
+    x, y and p must be unsigned; a caller with signed values passes them as
+    `.view(np.uint64)`, so a negative one fails its upper bound at its index.
     """
     n = t.shape[0]
     if n == 0:
@@ -157,12 +157,10 @@ def _check_invariants(t, x, y, p, geometry: SensorGeometry) -> None:
         first[NonMonotoneTimestamp] = 0
     elif bad_t.size:
         first[NonMonotoneTimestamp] = int(bad_t[0]) + 1
-    bad_xy = np.flatnonzero(
-        (x < 0) | (x >= geometry.width) | (y < 0) | (y >= geometry.height)
-    )
+    bad_xy = np.flatnonzero((x >= geometry.width) | (y >= geometry.height))
     if bad_xy.size:
         first[OutOfBounds] = int(bad_xy[0])
-    bad_p = np.flatnonzero((p < 0) | (p > 1))
+    bad_p = np.flatnonzero(p > 1)
     if bad_p.size:
         first[BadPolarity] = int(bad_p[0])
     if first:
@@ -182,7 +180,8 @@ def validate_stream(raw: Iterable[Event | tuple], geometry: SensorGeometry) -> E
         t, x, y, p = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
         # Check before the uint16 storage cast so negative or oversized
         # coordinates cannot wrap into range.
-        _check_invariants(t, x, y, p, geometry)
+        _check_invariants(t, x.view(np.uint64), y.view(np.uint64), p.view(np.uint64),
+                          geometry)
         return EventStream(geometry, t, x, y, p, validate=False)
     empty = np.empty(0, dtype=np.int64)
     return EventStream(geometry, empty, empty, empty, empty)

@@ -120,7 +120,7 @@ def stacked_histogram(
     padded (p, bin, y, x) ids counts the whole window, and the clipped counts
     land in the padded uint16 layout directly.
     """
-    from .geometry import source_taps  # geometry imports this module
+    from .geometry import EVEN_FACTOR_TAPS, source_taps  # geometry imports this module
 
     if window.length != cfg.t_frame:
         raise ValueError(
@@ -133,8 +133,11 @@ def stacked_histogram(
         bad = int(t[0]) if t[0] < window.t0 else int(t[-1])
         raise EventOutsideWindow(f"event at t={bad} outside [{window.t0}, {window.t1})")
     height, width = stream.geometry.height, stream.geometry.width
-    (y_index, y_weight), (x_index, x_weight) = (
-        source_taps(height, factor, method), source_taps(width, factor, method))
+    if factor != 1:  # source_taps also rejects factor < 1 and NotDivisible sizes
+        (y_index, y_weight), (x_index, x_weight) = (
+            source_taps(height, factor, method), source_taps(width, factor, method))
+    elif method not in EVEN_FACTOR_TAPS:
+        raise ValueError(f"unknown method {method!r}")
     out_h, out_w = height // factor, width // factor
     out_h, out_w = out_h + -out_h % pad_multiple, out_w + -out_w % pad_multiple
     cap = COUNT_MAX if cfg.clip_limit is None else cfg.clip_limit

@@ -121,14 +121,10 @@ def _conv2d_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Same-padded 2D cross-correlation: (Cin,h,w), (Cout,Cin,k,k) -> (Cout,h,w)."""
     k = weights.shape[-1]
     r = k // 2
-    _, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (r, r), (r, r)))
-    out = np.zeros((weights.shape[0], h, w))
-    for dy in range(k):
-        for dx in range(k):
-            out += np.tensordot(weights[:, :, dy, dx], xp[:, dy : dy + h, dx : dx + w],
-                                axes=1)
-    return out
+    # (Cin, h, w, k, k): every output pixel's k x k neighbourhood, as a view.
+    patches = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, ((0, 0), (r, r), (r, r))), (k, k), axis=(1, 2))
+    return np.tensordot(weights, patches, axes=([1, 2, 3], [0, 3, 4]))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -245,3 +245,21 @@ def scalar_lstm_step(x, h, c, wx, wh, b):
     c_next = sig(zf) * c + sig(zi) * math.tanh(zg)
     h_next = sig(zo) * math.tanh(c_next)
     return h_next, c_next
+
+
+def direct_conv2d_same(x, w):
+    """Zero-padded cross-correlation summed term by term: (Cin,h,w), (Cout,Cin,k,k)."""
+    cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    r = k // 2
+    out = np.zeros((cout, h, wd))
+    for o in range(cout):
+        for i in range(h):
+            for j in range(wd):
+                for c in range(cin):
+                    for dy in range(k):
+                        for dx in range(k):
+                            yy, xx = i + dy - r, j + dx - r
+                            if 0 <= yy < h and 0 <= xx < wd:
+                                out[o, i, j] += w[o, c, dy, dx] * x[c, yy, xx]
+    return out

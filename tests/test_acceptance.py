@@ -253,7 +253,7 @@ def test_criterion_05_augmentation():
     # video mode: one affine per clip, erasure varies per frame
     frame = FrameTensor(rng.uniform(size=(2, 40, 40)).astype(np.float32))
     video_cfg = AugmentConfig(erase_p=1.0)
-    _, _, log = augment_clip([frame] * 21, [[]] * 21, video_cfg, 1055)
+    _, _, log = zip(*augment_clip([frame] * 21, [[]] * 21, video_cfg, 1055))
     assert all(l.transform == log[0].transform for l in log)
     assert len({l.erasure for l in log}) >= 2
 

@@ -254,7 +254,7 @@ class TestClipMode:
         frame = FrameTensor(rng.uniform(size=(2, 20, 24)).astype(np.float32))
         frames = [frame] * 5
         cfg = geometric_only(rotate_p=1.0, scale_p=1.0)
-        out, _, log = augment_clip(frames, [[]] * 5, cfg, 11)
+        out, _, log = zip(*augment_clip(frames, [[]] * 5, cfg, 11))
         for f in out[1:]:
             assert np.array_equal(f.values, out[0].values)
         assert all(l.transform == log[0].transform for l in log)
@@ -263,7 +263,7 @@ class TestClipMode:
         frame = FrameTensor(np.ones((1, 40, 40), dtype=np.float32))
         cfg = AugmentConfig(hflip_p=0, rotate_p=0, translate_p=0, scale_p=0,
                             shear_p=0, erase_p=1.0)
-        _, _, log = augment_clip([frame] * 21, [[]] * 21, cfg, 3)
+        _, _, log = zip(*augment_clip([frame] * 21, [[]] * 21, cfg, 3))
         rects = {l.erasure for l in log}
         assert len(rects) >= 2
 
@@ -271,7 +271,7 @@ class TestClipMode:
         frame = FrameTensor(rng.uniform(size=(2, 12, 12)).astype(np.float32))
         cfg = AugmentConfig()
         direct = sample_augmentation(cfg, 12, 12, np.random.default_rng(21))
-        _, _, log = augment_clip([frame], [[]], cfg, np.random.default_rng(21))
+        _, _, log = zip(*augment_clip([frame], [[]], cfg, np.random.default_rng(21)))
         assert log[0] == direct
 
     def test_frame_count_does_not_perturb_geometry(self):
@@ -279,8 +279,8 @@ class TestClipMode:
         frame = FrameTensor(np.zeros((1, 16, 16), dtype=np.float32))
         logs = []
         for n in (1, 4, 21):
-            _, _, log = augment_clip([frame] * n, [[]] * n, cfg,
-                                     np.random.default_rng(5))
+            _, _, log = zip(*augment_clip([frame] * n, [[]] * n, cfg,
+                                          np.random.default_rng(5)))
             logs.append(log[0])
         assert logs[0].transform == logs[1].transform == logs[2].transform
         assert logs[0].hflip == logs[1].hflip == logs[2].hflip
@@ -288,9 +288,31 @@ class TestClipMode:
     def test_mixed_shapes_rejected(self):
         a = FrameTensor(np.zeros((1, 8, 8), dtype=np.float32))
         b = FrameTensor(np.zeros((1, 8, 10), dtype=np.float32))
-        with pytest.raises(ShapeMismatch):
-            augment_clip([a, b], [[], []], AugmentConfig(), 0)
+        c = FrameTensor(np.zeros((2, 8, 8), dtype=np.float32))
+        for clip in ([a, b], [a, c]):
+            with pytest.raises(ShapeMismatch):
+                list(augment_clip(clip, [[], []], AugmentConfig(), 0))
 
     def test_empty_clip_rejected(self):
         with pytest.raises(ValueError):
-            augment_clip([], [], AugmentConfig(), 0)
+            list(augment_clip([], [], AugmentConfig(), 0))
+
+    def test_pulls_each_frame_when_it_is_augmented(self):
+        pulled = []
+
+        def frames():
+            for k in range(5):
+                pulled.append(k)
+                yield FrameTensor(np.full((1, 8, 8), k, dtype=np.float32))
+
+        clip = augment_clip(frames(), [[]] * 5, AugmentConfig(), 4)
+        assert pulled == []
+        for k, _ in enumerate(clip):
+            assert pulled == list(range(k + 1))
+        assert pulled == list(range(5))
+
+    @pytest.mark.parametrize("n_boxes", [2, 4])
+    def test_misaligned_boxes_rejected(self, n_boxes):
+        frame = FrameTensor(np.zeros((1, 8, 8), dtype=np.float32))
+        with pytest.raises(ValueError):
+            list(augment_clip(iter([frame] * 3), iter([[]] * n_boxes), AugmentConfig(), 0))

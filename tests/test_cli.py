@@ -314,6 +314,33 @@ class TestAugmentCommand:
         log = (out / "aug_log.txt").read_text().splitlines()
         assert len([l for l in log if " frames=" in l]) == 20
 
+    def test_memory_bounded_by_a_frame(self, tmp_path):
+        # 16 gen1 frames augmented in clips of 2 and in one clip of 16: video mode
+        # may hold more for the longer clip only by less than one float32 output frame.
+        rec = tmp_path / "rec.evs"
+        stream = make_stream(np.random.default_rng(16), 16_000, SensorGeometry(304, 240),
+                             800_000)
+        rec.write_bytes(codec.encode_evs(stream))
+        frames = tmp_path / "frames"
+        assert cli.main(["convert", str(rec), "--output", str(frames)]) == 0
+        assert len(list(frames.glob("frame_*.evf"))) == 16
+        peaks = []
+        for clip_len in (2, 16):
+            cfgf = tmp_path / f"clip{clip_len}.ini"
+            cfgf.write_text(f"[pipeline]\nclip_len = {clip_len}\n[augment]\nrotate_p = 1\n")
+            out = tmp_path / f"aug{clip_len}"
+            tracemalloc.start()
+            try:
+                rc = cli.main(["augment", str(frames), "--output", str(out),
+                               "--config", str(cfgf), "--mode", "video"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            assert len(list(out.glob("aug_*.evf"))) == 16
+            assert read_evf((out / "aug_000000.evf").read_bytes()).values.dtype == np.float32
+        assert peaks[1] - peaks[0] < 20 * 256 * 320 * 4
+
 
 class TestPlanCommand:
     def test_plan_roundtrip(self, tmp_path, capsys):

@@ -120,6 +120,16 @@ class TestDat:
             ]
             assert s.geometry == GEN1
 
+    def test_unpacks_every_bit_of_the_packed_word(self, rng):
+        # x = bits 0-13, y = bits 14-27, p = any of bits 28-31, across both 16-bit halves
+        packed = rng.integers(0, 2**32, 5_000, dtype=np.uint32)
+        blob = (b"% geometry 16384x16384\n" + bytes([0, 8])
+                + np.column_stack([np.arange(5_000, dtype="<u4"), packed]).tobytes())
+        s = codec.decode_dat(blob)
+        assert np.array_equal(s.x, packed & 0x3FFF)
+        assert np.array_equal(s.y, (packed >> 14) & 0x3FFF)
+        assert np.array_equal(s.p, packed >> 28 != 0)
+
     def test_zero_event_body(self):
         s = codec.decode_dat(dat_blob([]))
         assert len(s) == 0

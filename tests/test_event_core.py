@@ -52,6 +52,16 @@ class TestValidation:
             validate_stream(events, GEN1)
         assert exc.value.index == 1
 
+    @pytest.mark.parametrize("event, error", [
+        (Event(2, -1, 0, 1), OutOfBounds),
+        (Event(2, 0, -1, 1), OutOfBounds),
+        (Event(2, 0, 0, -1), BadPolarity),
+    ])
+    def test_negative_value_reports_index(self, event, error):
+        with pytest.raises(error) as exc:
+            validate_stream([Event(1, 0, 0, 1), event], GEN1)
+        assert exc.value.index == 1
+
     def test_negative_first_timestamp_rejected(self):
         with pytest.raises(NonMonotoneTimestamp):
             validate_stream([Event(-1, 0, 0, 1)], GEN1)

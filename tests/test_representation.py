@@ -158,6 +158,8 @@ class TestDownscaledPaddedLayout:
         with pytest.raises(ValueError):
             rep.stacked_histogram(s, window, cfg, factor=2, method="area")
         with pytest.raises(ValueError):
+            rep.stacked_histogram(s, window, cfg, method="area")
+        with pytest.raises(ValueError):
             rep.stacked_histogram(s, window, cfg, pad_multiple=0)
 
 

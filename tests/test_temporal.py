@@ -5,6 +5,7 @@ import pytest
 
 from evkit.errors import ParseError, ShapeMismatch, TruncatedFile
 from evkit.temporal import (
+    _conv2d_same,
     ConvLSTMParams,
     ConvLSTMState,
     FeatureMap,
@@ -17,7 +18,7 @@ from evkit.temporal import (
     save_state,
 )
 
-from oracles import scalar_lstm_step
+from oracles import direct_conv2d_same, scalar_lstm_step
 
 GEN1_SCALE_SIZES = {3: (32, 40), 4: (16, 20), 5: (8, 10)}
 
@@ -67,6 +68,12 @@ class TestCellStep:
             h, c = scalar_lstm_step(xv, h, c, wx, wh, b)
             assert out.values[0, 0, 0] == pytest.approx(h, abs=1e-6)
             assert state.c[0, 0, 0] == pytest.approx(c, abs=1e-6)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_convolution_matches_direct_sum(self, rng, k):
+        x = rng.normal(size=(3, 6, 7))
+        w = rng.normal(size=(4, 3, k, k))
+        assert np.allclose(_conv2d_same(x, w), direct_conv2d_same(x, w), rtol=0, atol=1e-12)
 
     def test_gate_ranges_and_cell_bound(self, rng):
         params = random_params(3, 5, 3, seed=2)
