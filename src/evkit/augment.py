@@ -13,13 +13,19 @@ substreams, so the number of frames never perturbs the geometric parameters,
 and a one-frame clip reproduces frame-mode sampling exactly.  `augment_clip`
 yields each frame as it is augmented, so a clip costs O(frame) memory, not
 O(clip length x frame).
+
+The warp samples bilinearly through a tap table: the output pixels that have
+a tap inside the frame, and each of their four taps' source pixel and
+weight.  `augment_clip` builds one table per clip, with its geometric draw,
+and warps every frame through it.  Output pixels with no in-bounds tap are
+exactly 0; they read nothing from the source.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,11 +167,44 @@ def sample_augmentation(
                                m, erasure)
 
 
-def apply_to_frame(frame: FrameTensor, aug: SampledAugmentation) -> FrameTensor:
+class _WarpTaps(NamedTuple):
+    """A draw's bilinear tap table: the output pixels that read the source,
+    and each tap's source pixel and weight over them."""
+
+    kept: np.ndarray    # (n,) flat output pixels with a nonzero-weight tap
+    index: np.ndarray   # (4, n) flat source pixel of each tap, clamped into the frame
+    weight: np.ndarray  # (4, n, 1) float64 weight of each tap, 0 outside the frame
+
+
+def _warp_taps(aug: SampledAugmentation) -> _WarpTaps:
+    height, width = aug.height, aug.width
+    pixel = np.arange(height * width)
+    centers = np.column_stack([pixel % width + 0.5, pixel // width + 0.5])
+    sx, sy = (aug.transform.inverse().apply(centers) - 0.5).T
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    fx, fy = sx - x0, sy - y0
+    index = np.empty((4, height * width), dtype=np.int64)
+    weight = np.empty((4, height * width))
+    for k, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        xi, yi = x0 + dx, y0 + dy
+        weight[k] = ((fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
+                     * ((xi >= 0) & (xi < width) & (yi >= 0) & (yi < height)))
+        index[k] = np.clip(yi, 0, height - 1) * width + np.clip(xi, 0, width - 1)
+    kept = np.flatnonzero(weight.any(axis=0))
+    return _WarpTaps(kept, index[:, kept], weight[:, kept, None])
+
+
+def apply_to_frame(
+    frame: FrameTensor, aug: SampledAugmentation, taps: _WarpTaps | None = None,
+) -> FrameTensor:
     """Warp by inverse mapping with bilinear sampling (fill 0), then erase.
 
     A pure-identity draw returns the frame unchanged (original dtype);
-    warped frames are float32.
+    warped frames are float32.  `taps` is the draw's tap table, which
+    `augment_clip` builds once per clip; without it the table is built here.
+    Only output pixels with a tap inside the frame read the source; every
+    other output pixel is 0.
     """
     if frame.height != aug.height or frame.width != aug.width:
         raise ShapeMismatch(
@@ -177,33 +216,28 @@ def apply_to_frame(frame: FrameTensor, aug: SampledAugmentation) -> FrameTensor:
     if aug.is_geometric_identity:
         values = frame.values.copy()
     else:
-        values = _warp_bilinear(frame.values, aug.transform)
+        values = _warp_bilinear(frame.values, _warp_taps(aug) if taps is None else taps)
     if aug.erasure is not None:
         top, left, eh, ew = aug.erasure
         values[:, top : top + eh, left : left + ew] = 0
     return FrameTensor(values)
 
 
-def _warp_bilinear(values: np.ndarray, transform: AffineTransform) -> np.ndarray:
+def _warp_bilinear(values: np.ndarray, taps: _WarpTaps) -> np.ndarray:
     c, height, width = values.shape
-    pixel = np.arange(height * width)
-    centers = np.column_stack([pixel % width + 0.5, pixel // width + 0.5])
-    sx, sy = (transform.inverse().apply(centers) - 0.5).T
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx, fy = sx - x0, sy - y0
-    # Taps are gathered in the frame's dtype; the float64 weight promotes each
-    # product exactly as a float64 copy of the frame would.
-    source = values.reshape(c, height * width)
-    out = np.zeros((c, height * width), dtype=np.float64)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xi, yi = x0 + dx, y0 + dy
-            weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            weight = weight * ((xi >= 0) & (xi < width) & (yi >= 0) & (yi < height))
-            index = np.clip(yi, 0, height - 1) * width + np.clip(xi, 0, width - 1)
-            out += source.take(index, axis=1) * weight
-    return out.astype(np.float32).reshape(c, height, width)
+    # Pixel-major, so each tap reads one run of c values.  Taps are gathered
+    # in the frame's dtype; the float64 weight promotes each product exactly
+    # as a float64 copy of the frame would.  A pixel outside `taps.kept` would
+    # only add finite source x 0.0 terms to its +0.0 start, which stays +0.0.
+    source = np.ascontiguousarray(values.reshape(c, height * width).T)
+    acc = np.zeros((taps.kept.size, c))
+    term = np.empty_like(acc)
+    for index, weight in zip(taps.index, taps.weight):
+        np.multiply(source.take(index, axis=0), weight, out=term)
+        acc += term
+    out = np.zeros((c, height * width), dtype=np.float32)
+    out[:, taps.kept] = acc.T
+    return out.reshape(c, height, width)
 
 
 def apply_to_boxes(
@@ -262,11 +296,12 @@ def augment_clip(
         if shape is None:
             shape, height, width = frame.shape, frame.height, frame.width
             geo = _draw_geometric(cfg, height, width, rng.spawn(1)[0])
+            clip_draw = SampledAugmentation(height, width, *geo, erasure=None)
+            taps = None if clip_draw.is_geometric_identity else _warp_taps(clip_draw)
         elif frame.shape != shape:
             raise ShapeMismatch("clip frames must share one shape")
-        aug = SampledAugmentation(height, width, *geo,
-                                  _draw_erasure(cfg, height, width, rng.spawn(1)[0]))
-        yield (apply_to_frame(frame, aug),
+        aug = replace(clip_draw, erasure=_draw_erasure(cfg, height, width, rng.spawn(1)[0]))
+        yield (apply_to_frame(frame, aug, taps),
                apply_to_boxes(boxes, aug, cfg.min_box_area, cfg.min_box_visibility), aug)
     if shape is None:
         raise ValueError("clip must contain at least one frame")

@@ -68,6 +68,10 @@ class BadHeader(EvkitError):
     """Header fields are malformed or required fields are missing."""
 
 
+class NonFiniteValue(IndexedError):
+    """A float EVF value is NaN or infinite; index is its flat (c, y, x) position."""
+
+
 class ReservedByteSet(IndexedError):
     """An EVS record's reserved byte is not 0; index is the record's."""
 

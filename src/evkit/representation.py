@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadHeader, BadMagic, EventOutsideWindow, FutureEvent, TruncatedFile
+from .errors import (BadHeader, BadMagic, EventOutsideWindow, FutureEvent, NonFiniteValue,
+                     TruncatedFile)
 from .event_core import EventStream, TimeWindow
 
 EVF_MAGIC = b"EVF1"
@@ -255,6 +256,8 @@ def save_evf(path: str | Path, frame: FrameTensor) -> None:
 
 
 def read_evf(data: bytes) -> FrameTensor:
+    """Parse an EVF container.  The frame views `data` where the host byte order
+    allows, so it is not copied; a float body must hold only finite values."""
     if len(data) < 4 or bytes(data[:4]) != EVF_MAGIC:
         raise BadMagic(f"expected {EVF_MAGIC!r}")
     if len(data) < EVF_HEADER_SIZE:
@@ -271,7 +274,13 @@ def read_evf(data: bytes) -> FrameTensor:
     if body != expected:
         raise TruncatedFile(f"body is {body} bytes, expected {expected}")
     values = np.frombuffer(data, dtype, offset=EVF_HEADER_SIZE).reshape(c, height, width)
-    return FrameTensor(values.astype(dtype.newbyteorder("=")))
+    values = values.astype(dtype.newbyteorder("="), copy=False)
+    if values.dtype.kind == "f":
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise NonFiniteValue(first, f"EVF value {values.flat[first]} is not finite")
+    return FrameTensor(values)
 
 
 def event_rate_stats(stream: EventStream) -> dict:

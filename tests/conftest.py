@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads BLAS: on a small shared host a
+# threaded call as small as temporal._conv2d_same's product can take 100x
+# longer than on one thread.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

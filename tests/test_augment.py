@@ -293,6 +293,35 @@ class TestClipMode:
             with pytest.raises(ShapeMismatch):
                 list(augment_clip(clip, [[], []], AugmentConfig(), 0))
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+    def test_shared_tap_table_matches_frame_draw(self, rng, dtype):
+        # The clip warps every frame through one tap table; each frame must be
+        # byte-equal to warping it alone, and to the per-pixel oracle, including
+        # output pixels whose taps all fall outside the frame and -0.0 inputs.
+        cfg = AugmentConfig(hflip_p=1, rotate_p=1, translate_p=1, scale_p=1, shear_p=1,
+                            erase_p=0.5)
+        centers = np.array([[x + 0.5, y + 0.5] for y in range(13) for x in range(17)])
+        outside = 0
+        for seed in range(4):
+            values = rng.normal(size=(3, 2, 13, 17)) * 300
+            if dtype == np.uint16:
+                values = values.clip(0)
+            else:
+                values[np.abs(values) < 100] = -0.0
+            frames = [FrameTensor(v.astype(dtype)) for v in values]
+            clip = augment_clip(frames, [[]] * 3, cfg, seed)
+            for frame, (out, _, aug) in zip(frames, clip, strict=True):
+                assert out.values.dtype == np.float32
+                assert out.values.tobytes() == apply_to_frame(frame, aug).values.tobytes()
+                expected = naive_warp(frame.values, aug.transform)
+                if aug.erasure is not None:
+                    top, left, eh, ew = aug.erasure
+                    expected[:, top : top + eh, left : left + ew] = 0
+                assert out.values.tobytes() == expected.tobytes()
+            sx, sy = (aug.transform.inverse().apply(centers) - 0.5).T
+            outside += np.count_nonzero((sx < -1) | (sx >= 17) | (sy < -1) | (sy >= 13))
+        assert outside > 0
+
     def test_empty_clip_rejected(self):
         with pytest.raises(ValueError):
             list(augment_clip([], [], AugmentConfig(), 0))

@@ -14,7 +14,7 @@ from evkit.detmetrics import EvalConfig
 from evkit.errors import ParseError
 from evkit.event_core import SensorGeometry, partition_windows
 from evkit.geometry import AffineTransform
-from evkit.representation import StackedHistogramConfig, read_evf
+from evkit.representation import FrameTensor, StackedHistogramConfig, read_evf, save_evf
 from evkit.sampler import parse_plan
 
 from conftest import make_stream
@@ -435,6 +435,19 @@ class TestErrors:
         assert err.count("\n") == 1
         assert err.startswith("error code=BadHeader") and "index.txt" in err
         assert not (tmp_path / "aug").exists()
+
+    def test_non_finite_frame_is_one_error_line(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        values = np.zeros((2, 4, 6), dtype=np.float32)
+        values[1, 3, 5] = np.nan
+        save_evf(frames / "frame_000000.evf", FrameTensor(values))
+        (frames / "index.txt").write_text("window=0 t0=0 t1=50000 file=frame_000000.evf\n")
+        rc = cli.main(["augment", str(frames), "--output", str(tmp_path / "aug")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error code=NonFiniteValue") and "at index 47" in err
 
     def test_missing_recording_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "out"

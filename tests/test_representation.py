@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from evkit import representation as rep
-from evkit.errors import (BadHeader, BadMagic, EventOutsideWindow, FutureEvent, NotDivisible,
-                          TruncatedFile)
+from evkit.errors import (BadHeader, BadMagic, EventOutsideWindow, FutureEvent,
+                          NonFiniteValue, NotDivisible, TruncatedFile)
 from evkit.event_core import Event, EventStream, SensorGeometry, TimeWindow, validate_stream
 from evkit.geometry import EVEN_FACTOR_TAPS, downscale, pad_to_multiple
 
@@ -280,6 +282,23 @@ class TestEvfContainer:
             rep.read_evf(blob[:-2])
         with pytest.raises(BadHeader):
             rep.read_evf(blob[:4] + b"\x09" + blob[5:])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_f32_non_finite_rejected_at_first_index(self, rng, bad):
+        values = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        values[1, 2, 0] = values[1, 2, 3] = bad
+        with pytest.raises(NonFiniteValue) as exc:
+            rep.read_evf(rep.write_evf(rep.FrameTensor(values)))
+        assert exc.value.index == 1 * 12 + 2 * 4 + 0
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+    def test_read_views_the_buffer(self, dtype):
+        blob = rep.write_evf(rep.FrameTensor(np.arange(24, dtype=dtype).reshape(2, 3, 4)))
+        out = rep.read_evf(blob)
+        assert np.array_equal(out.values, np.arange(24).reshape(2, 3, 4))
+        assert not out.values.flags.writeable
+        shared = np.shares_memory(out.values, np.frombuffer(blob, np.uint8))
+        assert shared == (sys.byteorder == "little")
 
     def test_rejects_other_dtypes(self):
         with pytest.raises(ValueError):
