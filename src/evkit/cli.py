@@ -16,7 +16,9 @@ import argparse
 import configparser
 import math
 import os
+import shutil
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,12 +28,14 @@ import numpy as np
 
 from . import augment as augmod
 from . import codec, detmetrics, sampler
-from .errors import BadHeader, EvkitError, ParseError
-from .event_core import EventStream, SensorGeometry, WindowSlice, partition_windows
+from .errors import BadHeader, EvkitError, InsufficientSpace, ParseError
+from .event_core import (EventStream, SensorGeometry, TimeWindow, WindowSlice, stream_windows,
+                         window_count)
 from .geometry import EVEN_FACTOR_TAPS, map_boxes
 from .representation import (
+    EventRateStats,
     StackedHistogramConfig,
-    event_rate_stats,
+    evf_frame_size,
     read_evf,
     save_evf,
     stacked_histogram,
@@ -110,8 +114,8 @@ def load_config(
         # No section is special: [DEFAULT] is an unknown section like any other.
         parser = configparser.ConfigParser(default_section="", interpolation=None)
         try:
-            with open(path, "r", encoding="ascii") as fh:
-                parser.read_file(fh)
+            with open(path, "rb") as fh:
+                parser.read_file(codec.ascii_lines(fh), source=str(path))
         except configparser.Error as exc:
             # A duplicate or a missing header carries `lineno`, other syntax errors `errors`.
             lineno = getattr(exc, "lineno", None) or getattr(exc, "errors", [(0,)])[0][0]
@@ -147,12 +151,9 @@ def load_config(
 # --- shared input helpers ---------------------------------------------------------
 
 
-def read_recording(path: str | Path, geometry: SensorGeometry | None) -> EventStream:
-    """Load an EVS or DAT recording, detecting the container by magic."""
-    data = Path(path).read_bytes()
-    if data[:3] == codec.EVS_MAGIC[:3]:
-        return codec.decode_evs(data)
-    return codec.decode_dat(data, geometry)
+def read_recording(path: str | Path, geometry: SensorGeometry | None) -> codec.Recording:
+    """Open an EVS or DAT recording to be read in chunks (see `codec.Recording`)."""
+    return codec.Recording(path, geometry)
 
 
 def _frame_name(k: int) -> str:
@@ -162,48 +163,79 @@ def _frame_name(k: int) -> str:
 # --- convert -----------------------------------------------------------------------
 
 
-def _write_frame(path: Path, stream: EventStream, w: WindowSlice, cfg: PipelineConfig) -> None:
+def _write_frame(path: Path, events: EventStream, window: TimeWindow,
+                 cfg: PipelineConfig) -> None:
     frame = stacked_histogram(
-        stream[w.start : w.stop], w.window, cfg.hist, factor=cfg.downscale_factor,
+        events, window, cfg.hist, factor=cfg.downscale_factor,
         method=cfg.downscale_method, pad_multiple=cfg.pad_multiple)
     save_evf(path, frame)
 
 
+def _check_space(out_dir: Path, n_frames: int, frame_size: int) -> None:
+    """Fail before anything is written when the frames cannot fit where out_dir goes."""
+    probe = out_dir.absolute()
+    while not probe.exists():
+        probe = probe.parent
+    free = shutil.disk_usage(probe).free
+    if n_frames * frame_size > free:
+        raise InsufficientSpace(
+            f"{n_frames} frames of {frame_size} bytes need {n_frames * frame_size} bytes, "
+            f"but {probe} has {free} free")
+
+
 def cmd_convert(args, cfg: PipelineConfig) -> int:
     t_begin = time.perf_counter()
-    stream = read_recording(args.input, cfg.geometry)
     boxes = codec.read_annotations(args.annotations) if args.annotations else []
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.annotations:
-        scaled = map_boxes(boxes, 1.0 / cfg.downscale_factor)
-        codec.write_annotations(out_dir / "annotations.txt", scaled)
-    windows = partition_windows(stream, cfg.hist.t_frame, t_start=args.t_start)
-    if args.drop_partial:
-        windows = [w for w in windows if not w.partial]
+    with read_recording(args.input, cfg.geometry) as rec:
+        windows = iter(())
+        if rec.first_t is not None:
+            n_windows = window_count(rec.first_t, rec.last_t, cfg.hist.t_frame, args.t_start)
+            _check_space(out_dir, n_windows, evf_frame_size(
+                rec.geometry, cfg.hist, factor=cfg.downscale_factor,
+                pad_multiple=cfg.pad_multiple))
+            windows = stream_windows(rec.chunks(), cfg.hist.t_frame, rec.first_t,
+                                     rec.last_t, args.t_start)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.annotations:
+            scaled = map_boxes(boxes, 1.0 / cfg.downscale_factor)
+            codec.write_annotations(out_dir / "annotations.txt", scaled)
+        written: list[WindowSlice] = []
+        lock = threading.Lock()
+
+        def work() -> None:
+            # A worker takes the next window only when it is free, so at most
+            # --threads windows' events and frames are alive at a time; each
+            # window is read, joined and counted by one thread.
+            while True:
+                with lock:
+                    w, events = next(windows, (None, None))
+                    if w is None or (args.drop_partial and w.partial):
+                        return
+                    k = len(written)
+                    written.append(w)
+                _write_frame(out_dir / _frame_name(k), events, w.window, cfg)
+                del events
+
+        # This thread is one of the --threads workers, so one thread starts none.
+        with ThreadPoolExecutor(max_workers=max(cfg.threads - 1, 1)) as pool:
+            helpers = [pool.submit(work) for _ in range(cfg.threads - 1)]
+            work()
+            for future in helpers:
+                future.result()
     # Boxes are sorted by time, so each window's boxes are one id range.
     box_t = np.array([b.t for b in boxes], dtype=np.int64)
-    box_ranges = np.searchsorted(box_t, [(w.window.t0, w.window.t1) for w in windows])
-
-    # Each frame lives only inside the call that writes it; submitting a chunk
-    # at a time bounds the pending futures too.
-    chunk = max(4 * cfg.threads, 16)
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        for lo in range(0, len(windows), chunk):
-            list(pool.map(
-                lambda k: _write_frame(out_dir / _frame_name(k), stream, windows[k], cfg),
-                range(len(windows))[lo : lo + chunk],
-            ))
+    box_ranges = np.searchsorted(box_t, [(w.window.t0, w.window.t1) for w in written])
     (out_dir / "index.txt").write_text("".join(
         f"window={k} t0={w.window.t0} t1={w.window.t1} file={_frame_name(k)} "
         f"partial={int(w.partial)} events={w.stop - w.start} "
         f"ann={','.join(map(str, range(*ids))) or '-'}\n"
-        for k, (w, ids) in enumerate(zip(windows, box_ranges))
+        for k, (w, ids) in enumerate(zip(written, box_ranges))
     ), encoding="ascii")
     elapsed = time.perf_counter() - t_begin
-    rate = len(stream) / elapsed if elapsed > 0 else float("inf")
+    rate = rec.count / elapsed if elapsed > 0 else float("inf")
     print(
-        f"converted windows={len(windows)} events={len(stream)} "
+        f"converted windows={len(written)} events={rec.count} "
         f"seconds={elapsed:.3f} rate_eps={rate:.0f}"
     )
     return 0
@@ -213,15 +245,18 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_stats(args, cfg: PipelineConfig) -> int:
-    stream = read_recording(args.input, cfg.geometry)
-    stats = event_rate_stats(stream)
+    with read_recording(args.input, cfg.geometry) as rec:
+        acc = EventRateStats(rec.geometry)
+        for chunk in rec.chunks():
+            acc.add(chunk)
+    stats = acc.summary()
     print(f"events={stats['events']}")
     print(f"duration_us={stats['duration_us']}")
     print(f"rate_eps={stats['rate_eps']:.3f}")
     print(f"pos={stats['pos']}")
     print(f"neg={stats['neg']}")
     print(f"max_per_pixel={stats['max_per_pixel']}")
-    print(f"geometry={stream.geometry.width}x{stream.geometry.height}")
+    print(f"geometry={rec.geometry.width}x{rec.geometry.height}")
     return 0
 
 

@@ -80,6 +80,12 @@ class ParseError(IndexedError):
     """A text record is malformed; index is the 1-based line number."""
 
 
+# --- outputs ------------------------------------------------------------------
+
+class InsufficientSpace(EvkitError):
+    """A command's output would not fit in the free space where it is written."""
+
+
 # --- geometry / augmentation ---------------------------------------------------
 
 class NotDivisible(EvkitError):

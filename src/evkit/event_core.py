@@ -140,20 +140,23 @@ class EventStream:
         )
 
 
-def _check_invariants(t, x, y, p, geometry: SensorGeometry) -> None:
+def _check_invariants(t, x, y, p, geometry: SensorGeometry, origin: int = 0,
+                      offset: int = 0) -> None:
     """Raise the violation with the smallest event index, if any.
 
-    x, y and p must be unsigned; a caller with signed values passes them as
-    `.view(np.uint64)`, so a negative one fails its upper bound at its index.
+    Indices count from `offset`, and the first timestamp must not be below
+    `origin`: a chunk of a recording passes the previous chunk's last
+    timestamp, a whole stream the time origin 0, so a negative first
+    timestamp is non-monotone.  x, y and p must be unsigned; a caller with
+    signed values passes them as `.view(np.uint64)`, so a negative one fails
+    its upper bound at its index.
     """
     n = t.shape[0]
     if n == 0:
         return
     first = {}
-    # A negative first timestamp is reported as non-monotone w.r.t. the
-    # implicit time origin 0.
     bad_t = np.flatnonzero(t[1:] < t[:-1])
-    if t[0] < 0:
+    if t[0] < origin:
         first[NonMonotoneTimestamp] = 0
     elif bad_t.size:
         first[NonMonotoneTimestamp] = int(bad_t[0]) + 1
@@ -165,7 +168,7 @@ def _check_invariants(t, x, y, p, geometry: SensorGeometry) -> None:
         first[BadPolarity] = int(bad_p[0])
     if first:
         err = min(first, key=first.get)
-        raise err(first[err])
+        raise err(offset + first[err])
 
 
 def validate_stream(raw: Iterable[Event | tuple], geometry: SensorGeometry) -> EventStream:
@@ -202,6 +205,67 @@ class WindowSlice:
     partial: bool
 
 
+def window_count(first_t: int, last_t: int, t_frame: int, t_start: int = 0) -> int:
+    """Number of t_frame windows from t_start through the one holding last_t.
+
+    Raises ZeroWindow for a non-positive t_frame and ValueError when t_start
+    is after first_t.  A last_t before t_start gives no windows.
+    """
+    if t_frame <= 0:
+        raise ZeroWindow(f"t_frame must be positive, got {t_frame}")
+    if t_start > first_t:
+        raise ValueError(f"t_start {t_start} is after the first event at {first_t}")
+    return max((last_t - t_start) // t_frame + 1, 0)
+
+
+def stream_windows(
+    chunks: Iterable[EventStream], t_frame: int, first_t: int, last_t: int,
+    t_start: int = 0,
+) -> Iterator[tuple[WindowSlice, EventStream]]:
+    """Partition a stream, given as consecutive chunks, into t_frame windows.
+
+    `first_t` and `last_t` are the stream's first and last timestamps.  Each
+    window of `window_count(first_t, last_t, t_frame, t_start)` is yielded with
+    its events as soon as a later event, or the end of the stream, closes it;
+    the pieces of the chunks it spans are joined once and released before the
+    yield.  Events after the window holding last_t, which a monotone stream
+    does not have, are never held.
+    """
+    n_windows = window_count(first_t, last_t, t_frame, t_start)
+    pieces: list[EventStream] = []
+    k = seen = 0
+
+    def close(stop: int) -> tuple[WindowSlice, EventStream]:
+        nonlocal k
+        t0 = t_start + k * t_frame
+        # Data extent [t_start, last_t + 1) only partially covers the last
+        # window unless it ends exactly on the window edge.
+        partial = k == n_windows - 1 and last_t + 1 < t0 + t_frame
+        events = pieces[0] if len(pieces) == 1 else concat_streams(pieces, pieces[0].geometry)
+        pieces.clear()
+        k += 1
+        return WindowSlice(TimeWindow(t0, t0 + t_frame), stop - len(events), stop, partial), events
+
+    for chunk in chunks:
+        if not len(chunk):
+            continue
+        t = chunk.t
+        # The window of the chunk's last event may go on in the next chunk;
+        # every window before it is complete.
+        last = min((int(t[-1]) - t_start) // t_frame, n_windows - 1)
+        ends = np.searchsorted(t, t_start + t_frame * np.arange(k + 1, last + 2, dtype=np.int64))
+        lo = 0
+        for stop in ends[:-1].tolist():
+            pieces.append(chunk[lo:stop])
+            yield close(seen + stop)
+            lo = stop
+        if ends.size:
+            pieces.append(chunk[lo:int(ends[-1])])
+        seen += len(chunk)
+    if k < n_windows:
+        yield close(seen)
+
+
 def partition_windows(
     stream: EventStream, t_frame: int, t_start: int = 0
 ) -> list[WindowSlice]:
@@ -212,28 +276,10 @@ def partition_windows(
     defaults to 0 rather than the first event so frame indices are stable
     across runs; pass t_start for recordings with offset clocks.
     """
-    if t_frame <= 0:
-        raise ZeroWindow(f"t_frame must be positive, got {t_frame}")
-    if len(stream) == 0:
-        return []
-    first_t = int(stream.t[0])
-    last_t = int(stream.t[-1])
-    if t_start > first_t:
-        raise ValueError(f"t_start {t_start} is after the first event at {first_t}")
-    n_windows = (last_t - t_start) // t_frame + 1
-    edges = t_start + t_frame * np.arange(1, n_windows + 1, dtype=np.int64)
-    stops = np.searchsorted(stream.t, edges, side="left")
-    out = []
-    prev = 0
-    for k in range(n_windows):
-        t0 = t_start + k * t_frame
-        stop = int(stops[k])
-        # Data extent [t_start, last_t + 1) only partially covers the last
-        # window unless it ends exactly on the window edge.
-        partial = k == n_windows - 1 and last_t + 1 < t0 + t_frame
-        out.append(WindowSlice(TimeWindow(t0, t0 + t_frame), prev, stop, partial))
-        prev = stop
-    return out
+    # An empty stream spans no time: a last_t before t_start gives it no windows.
+    first_t, last_t = ((int(stream.t[0]), int(stream.t[-1])) if len(stream)
+                       else (t_start, t_start - 1))
+    return [w for w, _ in stream_windows([stream], t_frame, first_t, last_t, t_start)]
 
 
 def slice_window(stream: EventStream, window: TimeWindow) -> EventStream:

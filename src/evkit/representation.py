@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (BadHeader, BadMagic, EventOutsideWindow, FutureEvent, NonFiniteValue,
                      TruncatedFile)
-from .event_core import EventStream, TimeWindow
+from .event_core import EventStream, SensorGeometry, TimeWindow
 
 EVF_MAGIC = b"EVF1"
 EVF_HEADER_SIZE = 16
@@ -139,8 +139,7 @@ def stacked_histogram(
             source_taps(height, factor, method), source_taps(width, factor, method))
     elif method not in EVEN_FACTOR_TAPS:
         raise ValueError(f"unknown method {method!r}")
-    out_h, out_w = height // factor, width // factor
-    out_h, out_w = out_h + -out_h % pad_multiple, out_w + -out_w % pad_multiple
+    out_h, out_w = _padded(height, factor, pad_multiple), _padded(width, factor, pad_multiple)
     cap = COUNT_MAX if cfg.clip_limit is None else cfg.clip_limit
     n_ids = 2 * cfg.n_bins * out_h * out_w if factor == 1 else 2 * height * width
     id_type = np.uint32 if n_ids <= 2**32 else np.int64  # u32 sorts ~3x faster
@@ -173,6 +172,20 @@ def stacked_histogram(
         values[:, i] = np.bincount(flat.ravel(), weights=weights.ravel(),
                                    minlength=2 * out_h * out_w).reshape(2, -1)
     return FrameTensor(values.reshape(2 * cfg.n_bins, out_h, out_w))
+
+
+def _padded(n: int, factor: int, pad_multiple: int) -> int:
+    """Length of an n-cell axis downscaled by `factor` and padded to `pad_multiple`."""
+    n //= factor
+    return n + -n % pad_multiple
+
+
+def evf_frame_size(geometry: SensorGeometry, cfg: StackedHistogramConfig, *,
+                   factor: int = 1, pad_multiple: int = 1) -> int:
+    """Bytes of the EVF file of one `stacked_histogram` frame with these arguments."""
+    itemsize = 2 if factor == 1 else 4  # uint16 counts, or float32 resampled values
+    height, width = (_padded(n, factor, pad_multiple) for n in (geometry.height, geometry.width))
+    return EVF_HEADER_SIZE + 2 * cfg.n_bins * height * width * itemsize
 
 
 def histogram2d(stream: EventStream, window: TimeWindow) -> FrameTensor:
@@ -283,24 +296,42 @@ def read_evf(data: bytes) -> FrameTensor:
     return FrameTensor(values)
 
 
+class EventRateStats:
+    """The stats command's summary, accumulated over consecutive chunks of a stream."""
+
+    def __init__(self, geometry: SensorGeometry):
+        self.geometry = geometry
+        self.events = self.pos = 0
+        self.first_t = self.last_t = 0
+        self._per_pixel = None  # allocated with the first event
+
+    def add(self, chunk: EventStream) -> None:
+        if not len(chunk):
+            return
+        width, height = self.geometry.width, self.geometry.height
+        if self._per_pixel is None:
+            self.first_t = int(chunk.t[0])
+            self._per_pixel = np.zeros(width * height, dtype=np.int64)
+        self.last_t = int(chunk.t[-1])
+        self.events += len(chunk)
+        self.pos += int(np.count_nonzero(chunk.p))
+        flat = chunk.y.astype(np.int64) * width + chunk.x
+        self._per_pixel += np.bincount(flat, minlength=width * height)
+
+    def summary(self) -> dict:
+        duration = self.last_t - self.first_t + 1 if self.events else 0
+        return {
+            "events": self.events,
+            "duration_us": duration,
+            "rate_eps": self.events / (duration / 1e6) if duration else 0.0,
+            "pos": self.pos,
+            "neg": self.events - self.pos,
+            "max_per_pixel": 0 if self._per_pixel is None else int(self._per_pixel.max()),
+        }
+
+
 def event_rate_stats(stream: EventStream) -> dict:
     """Single-pass summary counts used by the stats command."""
-    n = len(stream)
-    if n == 0:
-        return {
-            "events": 0, "duration_us": 0, "rate_eps": 0.0,
-            "pos": 0, "neg": 0, "max_per_pixel": 0,
-        }
-    duration = int(stream.t[-1]) - int(stream.t[0]) + 1
-    pos = int(np.count_nonzero(stream.p))
-    flat = stream.y.astype(np.int64) * stream.geometry.width + stream.x
-    per_pixel = np.bincount(flat, minlength=stream.geometry.width * stream.geometry.height)
-    return {
-        "events": n,
-        "duration_us": duration,
-        "rate_eps": n / (duration / 1e6),
-        "pos": pos,
-        "neg": n - pos,
-        "max_per_pixel": int(per_pixel.max()),
-    }
-
+    stats = EventRateStats(stream.geometry)
+    stats.add(stream)
+    return stats.summary()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,10 +13,12 @@ import pytest
 from evkit import cli, codec
 from evkit.augment import AugmentConfig, SampledAugmentation, apply_to_boxes
 from evkit.detmetrics import EvalConfig
-from evkit.errors import ParseError
-from evkit.event_core import SensorGeometry, partition_windows
+from evkit.errors import (BadPolarity, NonMonotoneTimestamp, OutOfBounds, ParseError,
+                          ReservedByteSet)
+from evkit.event_core import EventStream, SensorGeometry, partition_windows, validate_stream
 from evkit.geometry import AffineTransform
-from evkit.representation import FrameTensor, StackedHistogramConfig, read_evf, save_evf
+from evkit.representation import (FrameTensor, StackedHistogramConfig, read_evf, save_evf,
+                                  stacked_histogram)
 from evkit.sampler import parse_plan
 
 from conftest import make_stream
@@ -161,6 +165,24 @@ class TestConvert:
                   "--threads", "4"])
         assert tree_hash(out1) == tree_hash(out2)
 
+    def test_workers_share_the_window_stream(self, tmp_path):
+        # Four workers (more than the cores) pull 1,200 windows spanning three
+        # chunks from one stream while threads switch every microsecond: every
+        # frame and index line must match the one-thread output.
+        rec = tmp_path / "rec.evs"
+        synth_recording(rec, n=3 * codec.CHUNK, duration_us=60_000_000)
+        cfgf = str(tiny_config(tmp_path / "cfg.ini"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 4):
+                assert cli.main(["convert", str(rec), "--output", str(tmp_path / f"o{threads}"),
+                                 "--config", cfgf, "--threads", str(threads)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert len((tmp_path / "o4" / "index.txt").read_text().splitlines()) == 1200
+        assert tree_hash(tmp_path / "o1") == tree_hash(tmp_path / "o4")
+
     def test_memory_bounded_by_a_window(self, tmp_path):
         # A 32-window and a 2-window gen1 recording of the same event density:
         # convert may hold more for the longer one only by less than one padded frame.
@@ -241,6 +263,185 @@ class TestStats:
         synth_recording(rec, n=0)
         assert cli.main(["stats", str(rec)]) == 0
         assert "events=0" in capsys.readouterr().out
+
+
+def dat_bytes(stream) -> bytes:
+    """A DAT 2.0 file of the stream, its geometry in the header."""
+    geometry = stream.geometry
+    words = (stream.x.astype(np.uint32) | (stream.y.astype(np.uint32) << 14)
+             | (stream.p.astype(np.uint32) << 28))
+    header = f"% Width {geometry.width}\n% Height {geometry.height}\n".encode()
+    return header + bytes([0, 8]) + np.column_stack([stream.t.astype("<u4"), words]).tobytes()
+
+
+def run_cli(argv: list[str], capsys) -> tuple[int, str]:
+    rc = cli.main(argv)
+    return rc, capsys.readouterr().err
+
+
+def tiled(stream, copies: int, span: int):
+    """The stream repeated `copies` times, copy k shifted by k * span in time."""
+    return EventStream(stream.geometry,
+                       np.concatenate([stream.t + k * span for k in range(copies)]),
+                       np.tile(stream.x, copies), np.tile(stream.y, copies),
+                       np.tile(stream.p, copies))
+
+
+def traced_peak(argv: list[str]) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedInput:
+    """convert and stats read codec.CHUNK records at a time."""
+
+    GEOMETRY = SensorGeometry(32, 24)
+    TINY_FRAME = 20 * 32 * 32 * 2  # one padded frame of tiny_config
+
+    # record field -> (value written at the first record of chunk 2, error)
+    FAULTS = {
+        "t": (lambda t: t - 1, NonMonotoneTimestamp),
+        "x": (lambda _: 32, OutOfBounds),
+        "y": (lambda _: 24, OutOfBounds),
+        "p": (lambda _: 2, BadPolarity),
+        "reserved": (lambda _: 1, ReservedByteSet),
+    }
+
+    @pytest.mark.parametrize("container, field", [
+        *(("evs", field) for field in FAULTS), ("dat", "t"), ("dat", "x"), ("dat", "y"),
+    ])
+    def test_fault_at_chunk_two_matches_decoder(self, tmp_path, capsys, container, field):
+        n = codec.CHUNK + 100
+        stream = make_stream(np.random.default_rng(5), n, self.GEOMETRY, 1_000_000, t_min=10)
+        value, error = self.FAULTS[field]
+        if container == "evs":
+            records = np.frombuffer(codec.encode_evs(stream), codec.EVS_RECORD_DTYPE,
+                                    offset=codec.EVS_HEADER_SIZE).copy()
+            records[field][codec.CHUNK] = value(int(records["t"][codec.CHUNK - 1]))
+            data = codec.encode_evs(stream)[:codec.EVS_HEADER_SIZE] + records.tobytes()
+            decode = codec.decode_evs
+        else:
+            columns = {f: getattr(stream, f).copy() for f in "txyp"}
+            columns[field][codec.CHUNK] = value(int(columns["t"][codec.CHUNK - 1]))
+            data = dat_bytes(EventStream(self.GEOMETRY, *columns.values(), validate=False))
+            decode = codec.decode_dat
+        with pytest.raises(error) as exc:
+            decode(data)
+        assert exc.value.index == codec.CHUNK
+        rec = tmp_path / f"rec.{container}"
+        rec.write_bytes(data)
+        out = tmp_path / "out"
+        for argv in (["stats", str(rec)],
+                     ["convert", str(rec), "--output", str(out),
+                      "--config", str(tiny_config(tmp_path / "cfg.ini"))]):
+            rc, err = run_cli(argv, capsys)
+            assert rc == 1
+            assert re.fullmatch(rf'error code={error.__name__} msg="at index {codec.CHUNK}\b.*\n',
+                                err)
+        # The windows the first chunk closed are written; the index, written
+        # last and needed by augment, is not.
+        assert list(out.glob("frame_*.evf"))
+        assert not (out / "index.txt").exists()
+
+    def test_dat_wrap_is_not_unwrapped(self, tmp_path, capsys):
+        # DAT time wraps after 2**32 us; the first record of chunk 2 wraps to 0.
+        n = codec.CHUNK + 10
+        t = (2**32 - codec.CHUNK + np.arange(n)) % 2**32
+        rng = np.random.default_rng(6)
+        stream = EventStream(self.GEOMETRY, t, rng.integers(0, 32, n), rng.integers(0, 24, n),
+                             rng.integers(0, 2, n), validate=False)
+        rec = tmp_path / "rec.dat"
+        rec.write_bytes(dat_bytes(stream))
+        with pytest.raises(NonMonotoneTimestamp) as exc:
+            codec.decode_dat(rec.read_bytes())
+        assert exc.value.index == codec.CHUNK
+        for argv in (["stats", str(rec)],
+                     ["convert", str(rec), "--output", str(tmp_path / "out"),
+                      "--config", str(tiny_config(tmp_path / "cfg.ini"))]):
+            rc, err = run_cli(argv, capsys)
+            assert rc == 1
+            assert re.fullmatch(rf'error code=NonMonotoneTimestamp msg="at index {codec.CHUNK}'
+                                rf'\b.*\n', err)
+
+    def test_header_and_first_chunk_faults_leave_nothing(self, tmp_path, capsys):
+        stream = make_stream(np.random.default_rng(7), 1_000, self.GEOMETRY, 1_000_000)
+        data = bytearray(codec.encode_evs(stream))
+        data[codec.EVS_HEADER_SIZE + 500 * codec.EVS_RECORD_SIZE + 13] = 1
+        rec = tmp_path / "rec.evs"
+        for blob in (bytes(data), bytes(data[:-1])):
+            rec.write_bytes(blob)
+            out = tmp_path / "out"
+            rc, err = run_cli(["convert", str(rec), "--output", str(out)], capsys)
+            assert rc == 1 and err.startswith("error code=")
+            assert not out.exists()
+
+    def test_time_span_beyond_free_space_fails_before_output(self, tmp_path, capsys):
+        # A valid recording whose frames (9.2e13 windows) cannot fit on any disk.
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(
+            validate_stream([(0, 1, 1, 1), (2**62, 2, 2, 0)], self.GEOMETRY)))
+        out = tmp_path / "out"
+        rc, err = run_cli(["convert", str(rec), "--output", str(out),
+                           "--config", str(tiny_config(tmp_path / "cfg.ini"))], capsys)
+        assert rc == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error code=InsufficientSpace")
+        assert not out.exists()
+        rc, _ = run_cli(["stats", str(rec)], capsys)
+        assert rc == 0
+
+    def _recordings(self, tmp_path) -> dict[int, Path]:
+        # Three chunks over four 50 ms windows, and the same tiled 4x in time:
+        # windows span chunk edges, and the longer file repeats the shorter one
+        # chunk for chunk.
+        base = make_stream(np.random.default_rng(8), 3 * codec.CHUNK, self.GEOMETRY, 200_000)
+        paths = {}
+        for copies in (1, 4):
+            paths[copies] = tmp_path / f"rec{copies}.evs"
+            paths[copies].write_bytes(codec.encode_evs(tiled(base, copies, 200_000)))
+        return paths
+
+    def test_memory_does_not_grow_with_the_recording(self, tmp_path, capsys):
+        recs = self._recordings(tmp_path)
+        cfgf = str(tiny_config(tmp_path / "cfg.ini"))
+        convert = {copies: traced_peak(["convert", str(path), "--output",
+                                        str(tmp_path / f"out{copies}"), "--config", cfgf])
+                   for copies, path in recs.items()}
+        stats = {copies: traced_peak(["stats", str(path), "--config", cfgf])
+                 for copies, path in recs.items()}
+        assert "events=3145728" in capsys.readouterr().out
+        assert abs(convert[4] - convert[1]) < self.TINY_FRAME
+        assert abs(stats[4] - stats[1]) < self.TINY_FRAME
+
+    def test_memory_at_two_threads_holds_two_windows(self, tmp_path):
+        recs = self._recordings(tmp_path)
+        cfgf = tiny_config(tmp_path / "cfg.ini")
+        peaks = {copies: traced_peak(
+            ["convert", str(path), "--output", str(tmp_path / f"out{copies}"),
+             "--config", str(cfgf), "--threads", "2"])
+            for copies, path in recs.items()}
+        # One window's memory: a copy of the largest window's events and the
+        # peak of building its frame.
+        stream = codec.decode_evs(recs[1].read_bytes())
+        largest = max(partition_windows(stream, 50_000), key=lambda w: w.stop - w.start)
+        cfg = cli.load_config(str(cfgf))
+        tracemalloc.start()
+        try:
+            events = EventStream(self.GEOMETRY, *(getattr(stream, f)[largest.start:largest.stop]
+                                                  .copy() for f in "txyp"))
+            stacked_histogram(events, largest.window, cfg.hist, pad_multiple=cfg.pad_multiple)
+            window = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Above what reading a chunk takes (the stats peak), two threads hold
+        # at most two windows, at either recording length.
+        reading = traced_peak(["stats", str(recs[4])])
+        for copies in recs:
+            assert peaks[copies] - reading < 2 * window
 
 
 class TestAugmentCommand:
@@ -458,6 +659,26 @@ class TestErrors:
         assert err.startswith("error code=FileNotFoundError")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["convert", "augment"])
+    def test_annotation_t_beyond_int64_is_parse_error(self, tmp_path, capsys, command):
+        rec = tmp_path / "rec.evs"
+        synth_recording(rec, n=200)
+        cfgf = str(tiny_config(tmp_path / "cfg.ini"))
+        frames = tmp_path / "frames"
+        assert cli.main(["convert", str(rec), "--output", str(frames), "--config", cfgf]) == 0
+        ann = tmp_path / "ann.txt"
+        synth_annotations(ann, n=3)
+        ann.write_text(ann.read_text() + "t=99999999999999999999999 x=1.0 y=1.0 w=2.0 h=2.0 "
+                                          "class=0 score=1.0 track=-\n")
+        source = str(rec) if command == "convert" else str(frames)
+        rc = cli.main([command, source, "--output", str(tmp_path / "out"),
+                       "--annotations", str(ann), "--config", cfgf])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith('error code=ParseError msg="at index 4 (t=99999999999999999999999')
+        assert not (tmp_path / "out").exists()
+
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         rec = tmp_path / "rec.evs"
         synth_recording(rec, n=200)
@@ -585,10 +806,11 @@ class TestConfig:
         ("preset = gen1-like\n", 1),                   # no section header
         ("[pipeline]\nseed = 1\nclip_len = 4\nseed = 2\n", 4),  # repeated key
         ("[pipeline]\nseed = 1\nnot a key value line\n", 3),
+        ("[pipeline]\nseed = 1\npreset = caf\xe9\n", 3),  # a non-ASCII byte
     ])
     def test_config_syntax_error_is_parse_error(self, tmp_path, capsys, text, lineno):
         path = tmp_path / "cfg.ini"
-        path.write_text(text)
+        path.write_text(text, encoding="latin-1")
         with pytest.raises(ParseError) as exc:
             cli.load_config(str(path))
         assert exc.value.index == lineno

@@ -213,6 +213,9 @@ class TestAnnotations:
         "t=1 x=0 y=0 w=1e154 h=1e154 class=0 score=1.0 track=-",
         "t=1 x=1.79e308 y=0 w=1e306 h=2 class=0 score=1.0 track=-",
         "t=1 x=0 y=1.79e308 w=2 h=1e306 class=0 score=1.0 track=-",
+        # t and class go into int64 arrays
+        "t=9223372036854775808 x=0 y=0 w=2 h=2 class=0 score=1.0 track=-",
+        "t=1 x=0 y=0 w=2 h=2 class=-9223372036854775809 score=1.0 track=-",
     ])
     def test_non_finite_is_parse_error(self, tmp_path, line):
         path = tmp_path / "bad.txt"
