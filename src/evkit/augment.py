@@ -19,6 +19,10 @@ a tap inside the frame, and each of their four taps' source pixel and
 weight.  `augment_clip` builds one table per clip, with its geometric draw,
 and warps every frame through it.  Output pixels with no in-bounds tap are
 exactly 0; they read nothing from the source.
+
+A warped frame costs its float32 output, one pixel-major copy of the input
+and fixed buffers of BLOCK output pixels: the table is built, and the taps
+summed, BLOCK pixels at a time.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ import numpy as np
 from .codec import AnnotatedBox
 from .errors import ShapeMismatch
 from .geometry import AffineTransform
-from .representation import FrameTensor
+from .representation import FrameTensor, check_finite
 
 Rect = tuple[int, int, int, int]  # top, left, height, width
+BLOCK = 2048  # output pixels per step of the warp, and per slab of its tap-table build
 
 
 @dataclass(frozen=True)
@@ -178,21 +183,33 @@ class _WarpTaps(NamedTuple):
 
 def _warp_taps(aug: SampledAugmentation) -> _WarpTaps:
     height, width = aug.height, aug.width
-    pixel = np.arange(height * width)
-    centers = np.column_stack([pixel % width + 0.5, pixel // width + 0.5])
-    sx, sy = (aug.transform.inverse().apply(centers) - 0.5).T
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx, fy = sx - x0, sy - y0
-    index = np.empty((4, height * width), dtype=np.int64)
-    weight = np.empty((4, height * width))
-    for k, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        xi, yi = x0 + dx, y0 + dy
-        weight[k] = ((fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-                     * ((xi >= 0) & (xi < width) & (yi >= 0) & (yi < height)))
-        index[k] = np.clip(yi, 0, height - 1) * width + np.clip(xi, 0, width - 1)
-    kept = np.flatnonzero(weight.any(axis=0))
-    return _WarpTaps(kept, index[:, kept], weight[:, kept, None])
+    inverse = aug.transform.inverse()
+    rows = max(1, BLOCK // width)
+    parts = []
+    # Row slabs, so only the kept pixels of each slab outlive it.
+    for top in range(0, height, rows):
+        pixel = np.arange(top * width, min(top + rows, height) * width)
+        centers = np.column_stack([pixel % width + 0.5, pixel // width + 0.5])
+        sx, sy = (inverse.apply(centers) - 0.5).T
+        x0 = np.floor(sx).astype(np.int64)
+        y0 = np.floor(sy).astype(np.int64)
+        fx, fy = sx - x0, sy - y0
+        # Per offset d of 0 or 1: the tap's weight factor, whether it is
+        # inside the frame, and its clamped column or row start.
+        wx, wy = (1.0 - fx, fx), (1.0 - fy, fy)
+        in_x = [(x0 >= -d) & (x0 < width - d) for d in (0, 1)]
+        in_y = [(y0 >= -d) & (y0 < height - d) for d in (0, 1)]
+        col = [np.clip(x0 + d, 0, width - 1) for d in (0, 1)]
+        row = [np.clip(y0 + d, 0, height - 1) * width for d in (0, 1)]
+        index = np.empty((4, pixel.size), dtype=np.int64)
+        weight = np.empty((4, pixel.size))
+        for k, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            weight[k] = wx[dx] * wy[dy] * (in_x[dx] & in_y[dy])
+            index[k] = row[dy] + col[dx]
+        keep = np.flatnonzero(weight.any(axis=0))
+        parts.append((pixel[keep], index[:, keep], weight[:, keep]))
+    kept, index, weight = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    return _WarpTaps(kept, index, weight[:, :, None])
 
 
 def apply_to_frame(
@@ -201,16 +218,18 @@ def apply_to_frame(
     """Warp by inverse mapping with bilinear sampling (fill 0), then erase.
 
     A pure-identity draw returns the frame unchanged (original dtype);
-    warped frames are float32.  `taps` is the draw's tap table, which
-    `augment_clip` builds once per clip; without it the table is built here.
-    Only output pixels with a tap inside the frame read the source; every
-    other output pixel is 0.
+    warped frames are float32.  A float frame holding NaN or inf raises
+    NonFiniteValue at its first such flat index.  `taps` is the draw's tap
+    table, which `augment_clip` builds once per clip; without it the table is
+    built here.  Only output pixels with a tap inside the frame read the
+    source; every other output pixel is 0.
     """
     if frame.height != aug.height or frame.width != aug.width:
         raise ShapeMismatch(
             f"augmentation drawn for {aug.height}x{aug.width}, "
             f"frame is {frame.height}x{frame.width}"
         )
+    check_finite(frame.values)
     if aug.is_geometric_identity and aug.erasure is None:
         return frame
     if aug.is_geometric_identity:
@@ -230,13 +249,21 @@ def _warp_bilinear(values: np.ndarray, taps: _WarpTaps) -> np.ndarray:
     # as a float64 copy of the frame would.  A pixel outside `taps.kept` would
     # only add finite source x 0.0 terms to its +0.0 start, which stays +0.0.
     source = np.ascontiguousarray(values.reshape(c, height * width).T)
-    acc = np.zeros((taps.kept.size, c))
-    term = np.empty_like(acc)
-    for index, weight in zip(taps.index, taps.weight):
-        np.multiply(source.take(index, axis=0), weight, out=term)
-        acc += term
     out = np.zeros((c, height * width), dtype=np.float32)
-    out[:, taps.kept] = acc.T
+    gather = np.empty((BLOCK, c), dtype=source.dtype)
+    term = np.empty((BLOCK, c))
+    acc = np.empty((BLOCK, c))
+    for lo in range(0, taps.kept.size, BLOCK):
+        hi = min(lo + BLOCK, taps.kept.size)
+        m = hi - lo
+        acc[:m] = 0.0
+        for index, weight in zip(taps.index, taps.weight):
+            # Indices are clamped into the frame, so mode="clip" changes no
+            # tap; unlike the default it writes straight into the buffer.
+            np.take(source, index[lo:hi], axis=0, out=gather[:m], mode="clip")
+            np.multiply(gather[:m], weight[lo:hi], out=term[:m])
+            acc[:m] += term[:m]
+        out[:, taps.kept[lo:hi]] = acc[:m].T
     return out.reshape(c, height, width)
 
 
@@ -303,5 +330,6 @@ def augment_clip(
         aug = replace(clip_draw, erasure=_draw_erasure(cfg, height, width, rng.spawn(1)[0]))
         yield (apply_to_frame(frame, aug, taps),
                apply_to_boxes(boxes, aug, cfg.min_box_area, cfg.min_box_visibility), aug)
+        del frame  # so the next frame is read without this one alive
     if shape is None:
         raise ValueError("clip must contain at least one frame")

@@ -312,9 +312,8 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
         clip = entries[first : first + clip_len]
         frames = (read_evf((frames_dir / e["file"]).read_bytes()) for e in clip)
         clip_boxes = [boxes[lo:hi] for lo, hi in box_ranges[first : first + clip_len]]
-        for k, (frame, fb, aug) in enumerate(
-            augmod.augment_clip(frames, clip_boxes, cfg.augment, rng), start=first
-        ):
+        k = first
+        for frame, fb, aug in augmod.augment_clip(frames, clip_boxes, cfg.augment, rng):
             if k == first:
                 affine = ",".join(repr(float(v)) for v in aug.transform.matrix.ravel())
                 log_lines.append(
@@ -330,7 +329,9 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
             erase = "-" if aug.erasure is None else ",".join(str(v) for v in aug.erasure)
             log_lines.append(f"clip={c} frame={k} erase={erase}")
             save_evf(out_dir / f"aug_{k:06d}.evf", frame)
+            del frame  # so the next frame is warped without this one alive
             out_boxes.extend(fb)
+            k += 1
     codec.write_annotations(out_dir / "annotations.txt", out_boxes)
     (out_dir / "aug_log.txt").write_text(
         "".join(line + "\n" for line in log_lines), encoding="ascii"

@@ -229,11 +229,14 @@ def stream_windows(
     its events as soon as a later event, or the end of the stream, closes it;
     the pieces of the chunks it spans are joined once and released before the
     yield.  Events after the window holding last_t, which a monotone stream
-    does not have, are never held.
+    does not have, are never held.  Chunks must share one geometry, and a
+    chunk starting before the previous one's last timestamp raises
+    NonMonotoneTimestamp at its first event's index in the stream.
     """
     n_windows = window_count(first_t, last_t, t_frame, t_start)
     pieces: list[EventStream] = []
     k = seen = 0
+    geometry = prev_t = None
 
     def close(stop: int) -> tuple[WindowSlice, EventStream]:
         nonlocal k
@@ -241,7 +244,11 @@ def stream_windows(
         # Data extent [t_start, last_t + 1) only partially covers the last
         # window unless it ends exactly on the window edge.
         partial = k == n_windows - 1 and last_t + 1 < t0 + t_frame
-        events = pieces[0] if len(pieces) == 1 else concat_streams(pieces, pieces[0].geometry)
+        # Each piece was checked with its chunk, and each chunk's first
+        # timestamp and geometry against the chunk before, so the join is not.
+        events = pieces[0] if len(pieces) == 1 else EventStream(
+            geometry, *(np.concatenate([getattr(s, f) for s in pieces]) for f in "txyp"),
+            validate=False)
         pieces.clear()
         k += 1
         return WindowSlice(TimeWindow(t0, t0 + t_frame), stop - len(events), stop, partial), events
@@ -250,6 +257,13 @@ def stream_windows(
         if not len(chunk):
             continue
         t = chunk.t
+        if geometry is None:
+            geometry = chunk.geometry
+        elif chunk.geometry != geometry:
+            raise ValueError(f"chunk geometry {chunk.geometry} differs from {geometry}")
+        elif t[0] < prev_t:
+            raise NonMonotoneTimestamp(seen)
+        prev_t = t[-1]
         # The window of the chunk's last event may go on in the next chunk;
         # every window before it is complete.
         last = min((int(t[-1]) - t_start) // t_frame, n_windows - 1)

@@ -288,12 +288,18 @@ def read_evf(data: bytes) -> FrameTensor:
         raise TruncatedFile(f"body is {body} bytes, expected {expected}")
     values = np.frombuffer(data, dtype, offset=EVF_HEADER_SIZE).reshape(c, height, width)
     values = values.astype(dtype.newbyteorder("="), copy=False)
+    check_finite(values)
+    return FrameTensor(values)
+
+
+def check_finite(values: np.ndarray) -> None:
+    """Raise NonFiniteValue at the first NaN or inf of a float array, by flat
+    index; integer arrays pass unchecked."""
     if values.dtype.kind == "f":
         finite = np.isfinite(values)
         if not finite.all():
             first = int(np.argmin(finite))
-            raise NonFiniteValue(first, f"EVF value {values.flat[first]} is not finite")
-    return FrameTensor(values)
+            raise NonFiniteValue(first, f"value {values.flat[first]} is not finite")
 
 
 class EventRateStats:

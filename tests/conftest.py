@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 # One BLAS thread, set before numpy loads BLAS: on a small shared host a
@@ -34,6 +35,16 @@ def make_stream(
         rng.integers(0, geometry.height, n).astype(np.uint16),
         rng.integers(0, 2, n).astype(np.uint8),
     )
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of calling fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from evkit import augment as augmod
 from evkit.augment import (
     AugmentConfig,
     SampledAugmentation,
@@ -12,10 +13,11 @@ from evkit.augment import (
     sample_augmentation,
 )
 from evkit.codec import AnnotatedBox
-from evkit.errors import ShapeMismatch
+from evkit.errors import NonFiniteValue, ShapeMismatch
 from evkit.geometry import AffineTransform
 from evkit.representation import FrameTensor
 
+from conftest import traced_peak
 from oracles import box_iou_ref, dense_point_hull, naive_warp
 
 
@@ -145,6 +147,65 @@ class TestApplyToFrame:
             out = apply_to_frame(FrameTensor(values), aug).values
             assert out.dtype == np.float32
             assert out.tobytes() == expected.tobytes()
+
+    # (transform, C, H, W, kept pixels against a BLOCK of 7)
+    BLOCK_EDGES = {
+        "ragged last block": (AffineTransform.rotation_deg(30).about(4.5, 3.0), 2, 6, 9, "ragged"),
+        "less than one block": (AffineTransform.translation(0.25, 3.5), 2, 4, 5, 5),
+        "exactly one block": (AffineTransform.translation(0.25, 3.5), 3, 4, 7, 7),
+        "all outside": (AffineTransform.translation(100.0, 0.0), 2, 4, 5, 0),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+    @pytest.mark.parametrize("case", BLOCK_EDGES)
+    def test_block_edges_match_per_pixel_oracle(self, rng, monkeypatch, case, dtype):
+        monkeypatch.setattr(augmod, "BLOCK", 7)
+        transform, c, h, w, kept = self.BLOCK_EDGES[case]
+        aug = manual_aug(h, w, transform)
+        n = augmod._warp_taps(aug).kept.size
+        assert (n % 7 and n > 7) if kept == "ragged" else n == kept
+        values = rng.normal(size=(c, h, w)) * 300
+        if dtype == np.uint16:
+            values = values.clip(0)
+        else:
+            values[np.abs(values) < 100] = -0.0
+        values = values.astype(dtype)
+        out = apply_to_frame(FrameTensor(values), aug).values
+        assert out.tobytes() == naive_warp(values, transform).tobytes()
+        assert out.any() == (n > 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("transform", [AffineTransform.translation(2.5, 0.0),
+                                           AffineTransform.identity()])
+    def test_non_finite_frame_rejected_at_first_index(self, bad, transform):
+        # A kept border pixel multiplies its clamped out-of-frame taps by 0.0,
+        # so a warp would turn inf in column 0 into NaN in columns 2 and 3.
+        values = np.ones((2, 8, 8), dtype=np.float32)
+        values[1, 3:, 0] = bad
+        with pytest.raises(NonFiniteValue) as exc:
+            apply_to_frame(FrameTensor(values), manual_aug(8, 8, transform, erasure=(0, 0, 1, 1)))
+        assert exc.value.index == 64 + 3 * 8
+
+    def test_warp_memory_is_frame_source_and_fixed_buffers(self):
+        # One gen1 frame through a prebuilt table holds its float32 output, one
+        # pixel-major copy of the input and the BLOCK buffers, not (kept, C)
+        # float64 sums.
+        c, h, w = 20, 256, 320
+        frame = FrameTensor(np.ones((c, h, w), dtype=np.uint16))
+        aug = manual_aug(h, w, AffineTransform.rotation_deg(20).about(w / 2, h / 2))
+        taps = augmod._warp_taps(aug)
+        peak = traced_peak(apply_to_frame, frame, aug, taps)
+        assert peak < c * h * w * 4 + frame.values.nbytes + 4 * 2**20
+
+    def test_tap_table_build_memory_is_its_table(self):
+        # Row slabs: the build holds the kept taps of each slab and their
+        # concatenation, never (4, H*W) arrays over pixels it drops.
+        h, w = 256, 320
+        aug = manual_aug(h, w, AffineTransform.rotation_deg(20).about(w / 2, h / 2)
+                         .compose(AffineTransform.scaling(0.7).about(w / 2, h / 2)))
+        table = sum(a.nbytes for a in augmod._warp_taps(aug))
+        assert table < 0.7 * h * w * 72
+        assert traced_peak(augmod._warp_taps, aug) < 2 * table + 4 * 2**20
 
     def test_determinism_bit_for_bit(self, rng):
         frame = FrameTensor(rng.uniform(size=(2, 16, 16)).astype(np.float32))

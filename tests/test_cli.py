@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import re
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from evkit.representation import (FrameTensor, StackedHistogramConfig, read_evf,
                                   stacked_histogram)
 from evkit.sampler import parse_plan
 
-from conftest import make_stream
+from conftest import make_stream, traced_peak
 
 
 def synth_recording(path: Path, seed=0, n=20_000, duration_us=1_000_000,
@@ -193,13 +192,8 @@ class TestConvert:
                                  SensorGeometry(304, 240), 50_000 * n_windows)
             rec.write_bytes(codec.encode_evs(stream))
             out = tmp_path / f"out{n_windows}"
-            tracemalloc.start()
-            try:
-                rc = cli.main(["convert", str(rec), "--output", str(out), "--threads", "1"])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert rc == 0
+            peaks.append(traced_peak(
+                run_ok, ["convert", str(rec), "--output", str(out), "--threads", "1"]))
             assert len(list(out.glob("frame_*.evf"))) == n_windows
         assert peaks[1] - peaks[0] < 20 * 256 * 320 * 2
 
@@ -287,13 +281,8 @@ def tiled(stream, copies: int, span: int):
                        np.tile(stream.p, copies))
 
 
-def traced_peak(argv: list[str]) -> int:
-    tracemalloc.start()
-    try:
-        assert cli.main(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def run_ok(argv: list[str]) -> None:
+    assert cli.main(argv) == 0
 
 
 class TestChunkedInput:
@@ -408,10 +397,10 @@ class TestChunkedInput:
     def test_memory_does_not_grow_with_the_recording(self, tmp_path, capsys):
         recs = self._recordings(tmp_path)
         cfgf = str(tiny_config(tmp_path / "cfg.ini"))
-        convert = {copies: traced_peak(["convert", str(path), "--output",
-                                        str(tmp_path / f"out{copies}"), "--config", cfgf])
+        convert = {copies: traced_peak(run_ok, ["convert", str(path), "--output",
+                                                str(tmp_path / f"out{copies}"), "--config", cfgf])
                    for copies, path in recs.items()}
-        stats = {copies: traced_peak(["stats", str(path), "--config", cfgf])
+        stats = {copies: traced_peak(run_ok, ["stats", str(path), "--config", cfgf])
                  for copies, path in recs.items()}
         assert "events=3145728" in capsys.readouterr().out
         assert abs(convert[4] - convert[1]) < self.TINY_FRAME
@@ -421,25 +410,24 @@ class TestChunkedInput:
         recs = self._recordings(tmp_path)
         cfgf = tiny_config(tmp_path / "cfg.ini")
         peaks = {copies: traced_peak(
-            ["convert", str(path), "--output", str(tmp_path / f"out{copies}"),
-             "--config", str(cfgf), "--threads", "2"])
+            run_ok, ["convert", str(path), "--output", str(tmp_path / f"out{copies}"),
+                     "--config", str(cfgf), "--threads", "2"])
             for copies, path in recs.items()}
         # One window's memory: a copy of the largest window's events and the
         # peak of building its frame.
         stream = codec.decode_evs(recs[1].read_bytes())
         largest = max(partition_windows(stream, 50_000), key=lambda w: w.stop - w.start)
         cfg = cli.load_config(str(cfgf))
-        tracemalloc.start()
-        try:
+
+        def build_window():
             events = EventStream(self.GEOMETRY, *(getattr(stream, f)[largest.start:largest.stop]
                                                   .copy() for f in "txyp"))
             stacked_histogram(events, largest.window, cfg.hist, pad_multiple=cfg.pad_multiple)
-            window = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        window = traced_peak(build_window)
         # Above what reading a chunk takes (the stats peak), two threads hold
         # at most two windows, at either recording length.
-        reading = traced_peak(["stats", str(recs[4])])
+        reading = traced_peak(run_ok, ["stats", str(recs[4])])
         for copies in recs:
             assert peaks[copies] - reading < 2 * window
 
@@ -530,14 +518,8 @@ class TestAugmentCommand:
             cfgf = tmp_path / f"clip{clip_len}.ini"
             cfgf.write_text(f"[pipeline]\nclip_len = {clip_len}\n[augment]\nrotate_p = 1\n")
             out = tmp_path / f"aug{clip_len}"
-            tracemalloc.start()
-            try:
-                rc = cli.main(["augment", str(frames), "--output", str(out),
-                               "--config", str(cfgf), "--mode", "video"])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert rc == 0
+            peaks.append(traced_peak(run_ok, ["augment", str(frames), "--output", str(out),
+                                              "--config", str(cfgf), "--mode", "video"]))
             assert len(list(out.glob("aug_*.evf"))) == 16
             assert read_evf((out / "aug_000000.evf").read_bytes()).values.dtype == np.float32
         assert peaks[1] - peaks[0] < 20 * 256 * 320 * 4

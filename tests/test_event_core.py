@@ -12,6 +12,7 @@ from evkit.event_core import (
     concat_streams,
     partition_windows,
     slice_window,
+    stream_windows,
     validate_stream,
 )
 
@@ -134,6 +135,32 @@ class TestPartition:
         assert parts[0].window == TimeWindow(100, 130)
         assert parts[1].window == TimeWindow(130, 160)
         assert parts[1].stop - parts[1].start == 1
+
+
+class TestStreamWindows:
+    def test_chunked_windows_match_whole_stream(self, rng):
+        s = make_stream(rng, 3_000, GEN1, 1_000_000)
+        first_t, last_t = int(s.t[0]), int(s.t[-1])
+        for size in (1, 7, 1_000, 3_000):
+            chunks = [s[lo:lo + size] for lo in range(0, len(s), size)]
+            out = list(stream_windows(chunks, 50_000, first_t, last_t))
+            assert [w for w, _ in out] == partition_windows(s, 50_000)
+            for w, events in out:
+                assert events == s[w.start:w.stop]
+                assert not events.t.flags.writeable
+
+    def test_chunk_starting_before_previous_end_rejected(self):
+        a = validate_stream([(10, 0, 0, 1), (20, 1, 1, 0)], GEN1)
+        b = validate_stream([(15, 2, 2, 1), (30, 3, 3, 0)], GEN1)
+        with pytest.raises(NonMonotoneTimestamp) as exc:
+            list(stream_windows([a, b], 100, 10, 30))
+        assert exc.value.index == 2
+
+    def test_chunks_of_two_geometries_rejected(self):
+        a = validate_stream([(10, 0, 0, 1)], GEN1)
+        b = validate_stream([(20, 0, 0, 1)], SensorGeometry(32, 24))
+        with pytest.raises(ValueError):
+            list(stream_windows([a, b], 100, 10, 20))
 
 
 class TestSliceWindow:
