@@ -281,29 +281,25 @@ def apply_to_boxes(
     """
     if aug.is_geometric_identity:
         return list(boxes)
-    width, height = float(aug.width), float(aug.height)
-    out = []
-    for box in boxes:
-        corners = np.array([
-            [box.x, box.y],
-            [box.x + box.w, box.y],
-            [box.x, box.y + box.h],
-            [box.x + box.w, box.y + box.h],
-        ])
-        warped = aug.transform.apply(corners)
-        hx0, hy0 = warped.min(axis=0)
-        hx1, hy1 = warped.max(axis=0)
-        hull_area = (hx1 - hx0) * (hy1 - hy0)
-        cx0, cy0 = max(hx0, 0.0), max(hy0, 0.0)
-        cx1, cy1 = min(hx1, width), min(hy1, height)
-        if cx1 <= cx0 or cy1 <= cy0:
-            continue
-        clipped_area = (cx1 - cx0) * (cy1 - cy0)
-        if clipped_area < min_area or clipped_area < min_visibility * hull_area:
-            continue
-        out.append(replace(box, x=float(cx0), y=float(cy0),
-                           w=float(cx1 - cx0), h=float(cy1 - cy0)))
-    return out
+    xywh = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    x0, y0, w, h = xywh.T
+    x1, y1 = x0 + w, y0 + h
+    # Corners (x0, y0), (x1, y0), (x0, y1), (x1, y1) of every box, in one transform.
+    corners = np.stack([x0, y0, x1, y0, x0, y1, x1, y1], axis=1).reshape(-1, 2)
+    warped = aug.transform.apply(corners).reshape(-1, 4, 2)
+    lo, hi = warped.min(axis=1), warped.max(axis=1)
+    hull_area = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
+    size = np.array([float(aug.width), float(aug.height)])
+    # np.where, not np.maximum: np.maximum(-0.0, 0.0) is 0.0, where Python's
+    # max(v, 0.0) and min(v, size) keep the corner's own signed zero.
+    clipped_lo = np.where(0.0 > lo, 0.0, lo)
+    clipped_hi = np.where(size < hi, size, hi)
+    extent = clipped_hi - clipped_lo
+    clipped_area = extent[:, 0] * extent[:, 1]
+    kept = ~((clipped_hi <= clipped_lo).any(axis=1) | (clipped_area < min_area)
+             | (clipped_area < min_visibility * hull_area))
+    return [replace(boxes[i], x=x, y=y, w=ew, h=eh) for i, x, y, ew, eh in zip(
+        np.flatnonzero(kept).tolist(), *clipped_lo[kept].T.tolist(), *extent[kept].T.tolist())]
 
 
 def augment_clip(

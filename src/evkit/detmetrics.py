@@ -4,9 +4,9 @@ Matching is greedy in descending score order: each prediction takes the
 highest-IoU still-unmatched ground-truth box of its own class with
 IoU >= threshold; everything else is a false positive, unmatched ground
 truth a false negative.  Average precision interpolates the
-monotone-from-the-right precision envelope on a fixed recall grid
-(101 points by default) and mAP averages over classes (those with at least
-one ground-truth box) and IoU thresholds (0.50:0.05:0.95 by default).
+monotone-from-the-right precision envelope on the fixed 101-point recall
+grid, and mAP averages over classes (those with at least one ground-truth
+box) and the fixed IoU thresholds 0.50:0.05:0.95, as COCOeval does.
 """
 
 from __future__ import annotations
@@ -26,19 +26,12 @@ DEFAULT_RECALL_GRID = tuple(np.linspace(0.0, 1.0, 101))
 
 @dataclass(frozen=True)
 class EvalConfig:
-    iou_thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
-    recall_grid: tuple[float, ...] = DEFAULT_RECALL_GRID
     class_ids: tuple[int, ...] | None = None
     min_diagonal: float | None = None
     skip_initial_us: int | None = None
     time_tolerance_us: int = 0
 
     def __post_init__(self):
-        t = self.iou_thresholds
-        if not t or any(not 0.0 < v <= 1.0 for v in t) or any(
-            a >= b for a, b in zip(t, t[1:])
-        ):
-            raise ValueError("iou_thresholds must be strictly increasing in (0,1]")
         for name in ("min_diagonal", "skip_initial_us", "time_tolerance_us"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -108,10 +101,7 @@ def match_frame(
     return results
 
 
-def average_precision(
-    matches: Sequence[MatchResult], class_id: int,
-    recall_grid: tuple[float, ...] = DEFAULT_RECALL_GRID,
-) -> float:
+def average_precision(matches: Sequence[MatchResult], class_id: int) -> float:
     """AP for one class from per-frame matches (all at one threshold).
 
     Returns NaN when the class has no ground truth anywhere (such classes
@@ -137,8 +127,7 @@ def average_precision(
     recall = tp_cum / n_gt
     precision = tp_cum / np.maximum(tp_cum + fp_cum, 1)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    grid = np.asarray(recall_grid)
-    inds = np.searchsorted(recall, grid, side="left")
+    inds = np.searchsorted(recall, DEFAULT_RECALL_GRID, side="left")
     interp = np.where(inds < len(recall), envelope[np.minimum(inds, len(recall) - 1)], 0.0)
     return float(np.mean(interp))
 
@@ -152,6 +141,12 @@ class EvalReport:
     n_frames: int = 0
     n_predictions: int = 0
     n_ground_truth: int = 0
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean of the non-NaN values, summed in order; NaN when there are none."""
+    live = [v for v in values if not math.isnan(v)]
+    return sum(live) / len(live) if live else math.nan
 
 
 def _apply_filters(boxes: list[AnnotatedBox], cfg: EvalConfig) -> list[AnnotatedBox]:
@@ -203,26 +198,15 @@ def evaluate_boxes(
         if cfg.class_ids is not None
         else sorted({b.class_id for b in gts})
     )
-    thresholds = list(cfg.iou_thresholds)
-    extra = [t for t in (0.5, 0.75) if t not in thresholds]
-    per_frame = [match_frame(p, g, thresholds + extra) for p, g in frames]
-    ap = {thr: {c: average_precision(matches, c, cfg.recall_grid) for c in classes}
-          for thr, matches in zip(thresholds + extra, zip(*per_frame))}
-
-    def mean_over_classes(values: dict[int, float]) -> float:
-        live = [v for v in values.values() if not math.isnan(v)]
-        return sum(live) / len(live) if live else math.nan
-
-    grid_means = [mean_over_classes(ap[t]) for t in thresholds]
-    per_class = {}
-    for c in classes:
-        vals = [ap[t][c] for t in thresholds if not math.isnan(ap[t][c])]
-        per_class[c] = sum(vals) / len(vals) if vals else math.nan
+    per_frame = [match_frame(p, g, DEFAULT_THRESHOLDS) for p, g in frames]
+    # One row per threshold, one column per class.
+    table = [[average_precision(matches, c) for c in classes] for matches in zip(*per_frame)]
+    row_means = [_mean(row) for row in table]
     return EvalReport(
-        map=sum(grid_means) / len(grid_means),
-        map50=mean_over_classes(ap[0.5]),
-        map75=mean_over_classes(ap[0.75]),
-        per_class=per_class,
+        map=_mean(row_means),
+        map50=row_means[DEFAULT_THRESHOLDS.index(0.5)],
+        map75=row_means[DEFAULT_THRESHOLDS.index(0.75)],
+        per_class={c: _mean(column) for c, column in zip(classes, zip(*table))},
         n_frames=len(frames),
         n_predictions=len(preds),
         n_ground_truth=len(gts),

@@ -281,6 +281,8 @@ def read_evf(data: bytes) -> FrameTensor:
     c = int.from_bytes(data[6:8], "little")
     height = int.from_bytes(data[8:12], "little")
     width = int.from_bytes(data[12:16], "little")
+    if 0 in (c, height, width):
+        raise BadHeader(f"frame shape ({c}, {height}, {width}) has a zero dimension")
     dtype = _EVF_DTYPES[code]
     expected = c * height * width * dtype.itemsize
     body = len(data) - EVF_HEADER_SIZE

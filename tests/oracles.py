@@ -7,6 +7,7 @@ vectorized code paths.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -133,6 +134,37 @@ def dense_point_hull(box_xywh, matrix, n=25):
             xs.append(qx)
             ys.append(qy)
     return min(xs), min(ys), max(xs), max(ys)
+
+
+def apply_to_boxes_loop(boxes, aug, min_area=4.0, min_visibility=0.1):
+    """`augment.apply_to_boxes` one box at a time: each box's four corners go
+    through `aug.transform.apply`, and the clipped hull is kept or dropped
+    with Python scalar comparisons."""
+    if aug.is_geometric_identity:
+        return list(boxes)
+    width, height = float(aug.width), float(aug.height)
+    out = []
+    for box in boxes:
+        corners = np.array([
+            [box.x, box.y],
+            [box.x + box.w, box.y],
+            [box.x, box.y + box.h],
+            [box.x + box.w, box.y + box.h],
+        ])
+        warped = aug.transform.apply(corners)
+        hx0, hy0 = warped.min(axis=0)
+        hx1, hy1 = warped.max(axis=0)
+        hull_area = (hx1 - hx0) * (hy1 - hy0)
+        cx0, cy0 = max(hx0, 0.0), max(hy0, 0.0)
+        cx1, cy1 = min(hx1, width), min(hy1, height)
+        if cx1 <= cx0 or cy1 <= cy0:
+            continue
+        clipped_area = (cx1 - cx0) * (cy1 - cy0)
+        if clipped_area < min_area or clipped_area < min_visibility * hull_area:
+            continue
+        out.append(dataclasses.replace(box, x=float(cx0), y=float(cy0),
+                                       w=float(cx1 - cx0), h=float(cy1 - cy0)))
+    return out
 
 
 def box_iou_ref(a, b):

@@ -18,7 +18,7 @@ from evkit.geometry import AffineTransform
 from evkit.representation import FrameTensor
 
 from conftest import traced_peak
-from oracles import box_iou_ref, dense_point_hull, naive_warp
+from oracles import apply_to_boxes_loop, box_iou_ref, dense_point_hull, naive_warp
 
 
 def geometric_only(**kwargs) -> AugmentConfig:
@@ -274,6 +274,48 @@ class TestApplyToBoxes:
         aug = manual_aug(240, 304, AffineTransform.translation(-3.5, -3.5))
         # clipped area 0.25 px^2 < 4 px^2
         assert apply_to_boxes([box], aug) == []
+
+
+class TestApplyToBoxesMatchesLoop:
+    H, W = 240, 304
+
+    def random_boxes(self, r, n):
+        """Boxes inside, across and fully outside the frame, and boxes whose
+        edges lie on the frame's edges (including -0.0 corners)."""
+        boxes = []
+        for k in range(n):
+            w, h = float(r.uniform(0.5, 120)), float(r.uniform(0.5, 90))
+            x, y = float(r.uniform(-150, self.W + 50)), float(r.uniform(-120, self.H + 40))
+            kind = k % 4
+            if kind == 1:
+                x, y = float(r.choice([0.0, -0.0, self.W - w])), float(r.choice([0.0, self.H - h]))
+            elif kind == 2:
+                x, y = float(r.choice([-w - 5, self.W + 5])), float(r.uniform(0, self.H))
+            boxes.append(AnnotatedBox(t=k, x=x, y=y, w=w, h=h, class_id=k % 3,
+                                      score=float(r.uniform(0, 1)), track_id=k or None))
+        return boxes
+
+    def draws(self, r):
+        every = AugmentConfig(hflip_p=1, rotate_p=1, translate_p=1, scale_p=1, shear_p=1,
+                              erase_p=1)
+        yield manual_aug(self.H, self.W, AffineTransform.hflip(self.W), hflip=True)
+        yield manual_aug(self.H, self.W, AffineTransform.translation(-20.0, 7.5))
+        for _ in range(3):
+            yield sample_augmentation(every, self.H, self.W, r)
+            yield sample_augmentation(AugmentConfig(), self.H, self.W, r)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 17, 100])
+    def test_bit_for_bit(self, n):
+        # Varied counts: a BLAS kernel may round differently by row count.
+        r = np.random.default_rng(1000 + n)
+        for aug in self.draws(r):
+            boxes = self.random_boxes(r, n)
+            for min_area, min_visibility in ((4.0, 0.1), (0.0, 0.0), (50.0, 0.6)):
+                rows = [[(b.t, repr(b.x), repr(b.y), repr(b.w), repr(b.h), b.class_id,
+                          b.score, b.track_id)
+                         for b in fn(boxes, aug, min_area, min_visibility)]
+                        for fn in (apply_to_boxes, apply_to_boxes_loop)]
+                assert rows[0] == rows[1]
 
 
 class TestFrameBoxConsistency:

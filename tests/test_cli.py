@@ -641,6 +641,25 @@ class TestErrors:
         assert err.startswith("error code=FileNotFoundError")
         assert not out.exists()
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+    def test_frame_shape_sweep_is_one_error_line_or_success(self, tmp_path, capsys, dtype):
+        # Every stage is drawn, so each frame is warped, flipped and erased.
+        cfgf = tiny_config(tmp_path / "cfg.ini", "[augment]\n" + "".join(
+            f"{stage}_p = 1\n" for stage in ("hflip", "rotate", "translate", "scale",
+                                             "shear", "erase")))
+        for c, h, w in np.ndindex(3, 3, 3):
+            frames = tmp_path / f"frames_{c}{h}{w}"
+            frames.mkdir()
+            save_evf(frames / "f.evf", FrameTensor(np.ones((c, h, w), dtype=dtype)))
+            (frames / "index.txt").write_text("window=0 t0=0 t1=50000 file=f.evf\n")
+            rc = cli.main(["augment", str(frames), "--output", str(tmp_path / f"aug_{c}{h}{w}"),
+                           "--config", str(cfgf)])
+            err = capsys.readouterr().err
+            assert rc == 0 and err == "" or rc == 1 and re.fullmatch("error code=.*\n", err), \
+                (c, h, w, rc, err)
+            if 0 in (c, h, w):
+                assert err.startswith("error code=BadHeader"), (c, h, w, err)
+
     @pytest.mark.parametrize("command", ["convert", "augment"])
     def test_annotation_t_beyond_int64_is_parse_error(self, tmp_path, capsys, command):
         rec = tmp_path / "rec.evs"

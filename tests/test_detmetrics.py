@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -306,11 +307,37 @@ class TestEvaluate:
         assert lines[-1] == "ap class=1 value=1.0"
 
 
-class TestConfigValidation:
-    def test_thresholds_must_increase(self):
-        with pytest.raises(ValueError):
-            EvalConfig(iou_thresholds=(0.5, 0.5))
-        with pytest.raises(ValueError):
-            EvalConfig(iou_thresholds=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            EvalConfig(iou_thresholds=())
+class TestReportBytes:
+    CONFIGS = (
+        EvalConfig(),
+        EvalConfig(time_tolerance_us=500),
+        EvalConfig(class_ids=(0, 1, 7)),  # class 7 has no ground truth
+        EvalConfig(min_diagonal=30.0, skip_initial_us=100_000),
+    )
+
+    @staticmethod
+    def seeded_case(seed):
+        r = np.random.default_rng(seed + 4000)
+        times = [k * 50_000 for k in range(1, 5)]
+        gts = random_boxes(r, 60, times, n_classes=3)
+        preds = random_boxes(r, 80, times, n_classes=3, scored=True)
+        for i in range(0, 50, 2):
+            # Every other near hit is off its frame by up to 300 us.
+            g = gts[i]
+            preds[i] = AnnotatedBox(
+                t=g.t + (int(r.integers(-300, 301)) if i % 4 else 0),
+                x=g.x + float(r.uniform(-6, 6)), y=g.y + float(r.uniform(-6, 6)),
+                w=g.w * float(r.uniform(0.8, 1.2)), h=g.h * float(r.uniform(0.8, 1.2)),
+                class_id=g.class_id, score=float(r.uniform(0.3, 1.0)),
+            )
+        return preds, gts
+
+    def test_report_bytes_are_pinned(self):
+        # Every repr in the report is hashed, so a one-ulp change in any AP
+        # sum fails here even where the 1e-9 oracle bound would not notice.
+        digest = hashlib.sha256()
+        for cfg in self.CONFIGS:
+            for seed in range(25):
+                digest.update(format_report(evaluate_boxes(*self.seeded_case(seed), cfg)).encode())
+        assert digest.hexdigest() == (
+            "b67b23b5f3e280da64b422e7b0cbbee75d59daf293083df3b4b051a494f54b61")

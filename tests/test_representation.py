@@ -282,6 +282,9 @@ class TestEvfContainer:
             rep.read_evf(blob[:-2])
         with pytest.raises(BadHeader):
             rep.read_evf(blob[:4] + b"\x09" + blob[5:])
+        for shape in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
+            with pytest.raises(BadHeader, match="zero dimension"):
+                rep.read_evf(rep.write_evf(rep.FrameTensor(np.zeros(shape, np.float32))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_f32_non_finite_rejected_at_first_index(self, rng, bad):
