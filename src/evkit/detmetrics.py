@@ -3,15 +3,20 @@
 Matching is greedy in descending score order: each prediction takes the
 highest-IoU still-unmatched ground-truth box of its own class with
 IoU >= threshold; everything else is a false positive, unmatched ground
-truth a false negative.  Average precision interpolates the
-monotone-from-the-right precision envelope on the fixed 101-point recall
-grid, and mAP averages over classes (those with at least one ground-truth
-box) and the fixed IoU thresholds 0.50:0.05:0.95, as COCOeval does.
+truth a false negative.  `match_frame` returns, per IoU threshold and per
+prediction in input order, the index of the ground-truth box it took or -1.
+`average_precision` scores one class at one threshold from flat columns
+(its predictions' scores, their hits and its ground-truth count): it
+interpolates the monotone-from-the-right precision envelope on the fixed
+101-point recall grid.  mAP averages over classes (those with at least one
+ground-truth box) and the fixed IoU thresholds 0.50:0.05:0.95, as COCOeval
+does.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -38,34 +43,6 @@ class EvalConfig:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Greedy matching outcome for one frame at one IoU threshold.
-
-    Prediction arrays are ordered by descending score (ties keep input
-    order); pred_matched holds the matched gt's input index or -1.
-    """
-
-    threshold: float
-    pred_scores: np.ndarray
-    pred_classes: np.ndarray
-    pred_matched: np.ndarray
-    gt_classes: np.ndarray
-    gt_matched: np.ndarray
-
-    @property
-    def n_true_positives(self) -> int:
-        return int(np.count_nonzero(self.pred_matched >= 0))
-
-    @property
-    def n_false_positives(self) -> int:
-        return len(self.pred_matched) - self.n_true_positives
-
-    @property
-    def n_false_negatives(self) -> int:
-        return int(np.count_nonzero(~self.gt_matched))
-
-
 def iou(a: list[AnnotatedBox], b: list[AnnotatedBox]) -> np.ndarray:
     """IoU of every pair of axis-aligned boxes: a (len(a), len(b)) matrix in [0, 1]."""
     ax, ay, aw, ah = np.array([(p.x, p.y, p.w, p.h) for p in a], float).T.reshape(4, -1, 1)
@@ -78,50 +55,44 @@ def iou(a: list[AnnotatedBox], b: list[AnnotatedBox]) -> np.ndarray:
 
 def match_frame(
     preds: list[AnnotatedBox], gts: list[AnnotatedBox], thresholds: Sequence[float]
-) -> list[MatchResult]:
-    """One MatchResult per threshold, all from one IoU matrix (-1 across classes);
-    a prediction takes the first free gt with its row's largest IoU (argmax)."""
-    ranked = sorted(preds, key=lambda p: -p.score)
-    scores = np.array([p.score for p in ranked])
-    pred_classes = np.array([p.class_id for p in ranked], dtype=np.int64)
+) -> np.ndarray:
+    """The gt each prediction takes at each threshold, or -1: an int64 array of
+    shape (len(thresholds), len(preds)), its columns in input order.
+
+    One IoU matrix (-1 across classes) serves every threshold.  Predictions go
+    in descending score order (ties keep input order), and each takes the
+    first free gt with its row's largest IoU (argmax) when that IoU >= threshold.
+    """
+    scores = np.array([p.score for p in preds])
+    pred_classes = np.array([p.class_id for p in preds], dtype=np.int64)
     gt_classes = np.array([g.class_id for g in gts], dtype=np.int64)
-    ious = np.where(pred_classes[:, None] == gt_classes, iou(ranked, gts), -1.0)
+    ious = np.where(pred_classes[:, None] == gt_classes, iou(preds, gts), -1.0)
     best = ious.max(axis=1, initial=-1.0)
-    results = []
-    for thr in thresholds:
-        gt_matched = np.zeros(len(gts), dtype=bool)
-        matched = np.full(len(ranked), -1, dtype=np.int64)
-        for rank in np.flatnonzero(best >= thr):
-            row = np.where(gt_matched, -1.0, ious[rank])
+    ranked = np.argsort(-scores, kind="stable")
+    matched = np.full((len(thresholds), len(preds)), -1, dtype=np.int64)
+    for k, thr in enumerate(thresholds):
+        taken = np.zeros(len(gts), dtype=bool)
+        for i in ranked[best[ranked] >= thr]:
+            row = np.where(taken, -1.0, ious[i])
             j = int(row.argmax())
             if row[j] >= thr:
-                gt_matched[j] = True
-                matched[rank] = j
-        results.append(MatchResult(thr, scores, pred_classes, matched, gt_classes, gt_matched))
-    return results
+                taken[j] = True
+                matched[k, i] = j
+    return matched
 
 
-def average_precision(matches: Sequence[MatchResult], class_id: int) -> float:
-    """AP for one class from per-frame matches (all at one threshold).
+def average_precision(scores: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
+    """AP for one class at one threshold: its predictions' scores, whether each
+    took a gt (tp), and its ground-truth count.
 
-    Returns NaN when the class has no ground truth anywhere (such classes
-    are excluded from mAP averaging).
+    Returns NaN when the class has no ground truth (such classes are excluded
+    from mAP averaging) and 0.0 when it has no predictions.
     """
-    scores, tps = [], []
-    n_gt = 0
-    for m in matches:
-        sel = m.pred_classes == class_id
-        scores.append(m.pred_scores[sel])
-        tps.append(m.pred_matched[sel] >= 0)
-        n_gt += int(np.count_nonzero(m.gt_classes == class_id))
     if n_gt == 0:
         return math.nan
-    score = np.concatenate(scores) if scores else np.empty(0)
-    tp = np.concatenate(tps) if tps else np.empty(0, dtype=bool)
-    if score.size == 0:
+    if scores.size == 0:
         return 0.0
-    order = np.argsort(-score, kind="stable")
-    tp = tp[order]
+    tp = tp[np.argsort(-scores, kind="stable")]
     tp_cum = np.cumsum(tp)
     fp_cum = np.cumsum(~tp)
     recall = tp_cum / n_gt
@@ -198,9 +169,16 @@ def evaluate_boxes(
         if cfg.class_ids is not None
         else sorted({b.class_id for b in gts})
     )
-    per_frame = [match_frame(p, g, DEFAULT_THRESHOLDS) for p, g in frames]
+    # Columns run in frame order, then input order within a frame; the stable
+    # sort in average_precision breaks score ties in that order.
+    matched = np.concatenate([match_frame(p, g, DEFAULT_THRESHOLDS) for p, g in frames], axis=1)
+    scores = np.array([p.score for ps, _ in frames for p in ps])
+    pred_classes = np.array([p.class_id for ps, _ in frames for p in ps], dtype=np.int64)
+    n_gt = Counter(b.class_id for b in gts)
+    masks = [pred_classes == c for c in classes]
     # One row per threshold, one column per class.
-    table = [[average_precision(matches, c) for c in classes] for matches in zip(*per_frame)]
+    table = [[average_precision(scores[sel], row[sel] >= 0, n_gt[c])
+              for c, sel in zip(classes, masks)] for row in matched]
     row_means = [_mean(row) for row in table]
     return EvalReport(
         map=_mean(row_means),

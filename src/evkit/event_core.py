@@ -208,14 +208,21 @@ class WindowSlice:
 def window_count(first_t: int, last_t: int, t_frame: int, t_start: int = 0) -> int:
     """Number of t_frame windows from t_start through the one holding last_t.
 
-    Raises ZeroWindow for a non-positive t_frame and ValueError when t_start
-    is after first_t.  A last_t before t_start gives no windows.
+    Raises ZeroWindow for a non-positive t_frame, and ValueError when t_start
+    is after first_t or when a window edge, from t_start to the end of the
+    last window, or t_frame itself does not fit in int64.  A last_t before
+    t_start gives no windows.
     """
     if t_frame <= 0:
         raise ZeroWindow(f"t_frame must be positive, got {t_frame}")
     if t_start > first_t:
         raise ValueError(f"t_start {t_start} is after the first event at {first_t}")
-    return max((last_t - t_start) // t_frame + 1, 0)
+    n = max((last_t - t_start) // t_frame + 1, 0)
+    end = t_start + n * t_frame
+    bounds = np.iinfo(np.int64)
+    if t_start < bounds.min or max(end, t_frame) > bounds.max:
+        raise ValueError(f"windows of {t_frame} us from {t_start} to {end} do not fit in int64")
+    return n
 
 
 def stream_windows(

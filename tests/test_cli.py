@@ -383,6 +383,26 @@ class TestChunkedInput:
         rc, _ = run_cli(["stats", str(rec)], capsys)
         assert rc == 0
 
+    @pytest.mark.parametrize("t_frame, n_bins, times", [
+        (10**20, 10, (0, 1, 2, 3)),
+        # The last edge, 2**63, would wrap to -2**63 and drop two events.
+        (2**62, 2, (0, 1, 2**62 + 1, 2**62 + 5)),
+    ], ids=["t_frame-beyond-int64", "last-edge-beyond-int64"])
+    def test_window_edges_beyond_int64_fail_before_output(self, tmp_path, capsys, t_frame,
+                                                          n_bins, times):
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(
+            validate_stream([(t, 1, 1, 1) for t in times], self.GEOMETRY)))
+        cfgf = tiny_config(tmp_path / "cfg.ini",
+                           f"[histogram]\nt_frame_us = {t_frame}\nn_bins = {n_bins}\n")
+        out = tmp_path / "out"
+        rc, err = run_cli(["convert", str(rec), "--output", str(out), "--config", str(cfgf)],
+                          capsys)
+        assert rc == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error code=ValueError")
+        assert not out.exists()
+
     def _recordings(self, tmp_path) -> dict[int, Path]:
         # Three chunks over four 50 ms windows, and the same tiled 4x in time:
         # windows span chunk edges, and the longer file repeats the shorter one

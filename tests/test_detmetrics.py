@@ -85,41 +85,48 @@ class TestIoU:
         assert iou([box()], []).shape == (1, 0)
 
 
+def ap(preds, gts, class_id, threshold=0.5):
+    """average_precision for one class over one frame's matches at one threshold."""
+    matched = match_frame(preds, gts, (threshold,))[0]
+    sel = np.array([p.class_id == class_id for p in preds], dtype=bool)
+    scores = np.array([p.score for p in preds])
+    n_gt = sum(g.class_id == class_id for g in gts)
+    return average_precision(scores[sel], matched[sel] >= 0, n_gt)
+
+
 class TestMatchFrame:
     def test_exact_hit(self):
-        r = match_frame([box(score=0.8)], [box()], (0.5,))[0]
-        assert r.n_true_positives == 1
-        assert r.n_false_positives == 0
-        assert r.n_false_negatives == 0
+        m = match_frame([box(score=0.8)], [box()], (0.5,))
+        assert m.dtype == np.int64
+        assert m.tolist() == [[0]]
 
     def test_no_predictions_all_fn(self):
-        r = match_frame([], [box(), box(x=50), box(x=100)], (0.5,))[0]
-        assert r.n_false_negatives == 3
+        m = match_frame([], [box(), box(x=50), box(x=100)], (0.5, 0.75))
+        assert m.dtype == np.int64 and m.shape == (2, 0)
 
     def test_class_must_match(self):
-        r = match_frame([box(cls=1, score=0.9)], [box(cls=0)], (0.5,))[0]
-        assert r.n_true_positives == 0
-        assert r.n_false_negatives == 1
+        assert match_frame([box(cls=1, score=0.9)], [box(cls=0)], (0.5,)).tolist() == [[-1]]
 
     def test_duplicate_detections_single_tp(self):
         preds = [box(score=0.9), box(score=0.8), box(score=0.7)]
-        r = match_frame(preds, [box()], (0.5,))[0]
-        assert r.n_true_positives == 1
-        assert r.n_false_positives == 2
-        assert r.pred_matched[0] == 0  # highest score wins the gt
+        # The highest score wins the gt; the other two are false positives.
+        assert match_frame(preds, [box()], (0.5,)).tolist() == [[0, -1, -1]]
+
+    def test_columns_in_input_order(self):
+        # The second prediction ranks first, takes the gt and keeps its column.
+        preds = [box(score=0.3), box(score=0.9)]
+        assert match_frame(preds, [box()], (0.5,)).tolist() == [[-1, 0]]
 
     def test_ties_go_to_first_gt_and_first_prediction(self):
-        r = match_frame([box(score=0.5)], [box(x=50), box(), box()], (0.5,))[0]
-        assert list(r.pred_matched) == [1]
+        assert match_frame([box(score=0.5)], [box(x=50), box(), box()], (0.5,)).tolist() == [[1]]
         # Equal scores keep input order: x=1 goes first and takes gt 0, so x=0
         # (IoU 0.43 with gt 1) stays unmatched; the other order gives [0, 1].
         preds = [box(x=1, score=0.5), box(x=0, score=0.5)]
-        r = match_frame(preds, [box(x=0), box(x=4)], (0.5,))[0]
-        assert list(r.pred_matched) == [0, -1]
+        assert match_frame(preds, [box(x=0), box(x=4)], (0.5,)).tolist() == [[0, -1]]
 
     def test_iou_equal_to_threshold_matches(self):
-        r = match_frame([box(w=2.0, h=1.0)], [box(w=1.0, h=1.0)], (0.5, 0.55))
-        assert [m.n_true_positives for m in r] == [1, 0]
+        m = match_frame([box(w=2.0, h=1.0)], [box(w=1.0, h=1.0)], (0.5, 0.55))
+        assert m.tolist() == [[0], [-1]]
 
     def test_matches_enumeration_oracle(self, rng):
         for seed in range(100):
@@ -132,17 +139,11 @@ class TestMatchFrame:
                 preds[0] = box(x=g.x + r.uniform(-5, 5), y=g.y + r.uniform(-5, 5),
                                w=g.w, h=g.h, cls=g.class_id, score=preds[0].score)
             thresholds = (0.3,) + DEFAULT_THRESHOLDS
-            results = match_frame(preds, gts, thresholds)
-            assert len(results) == len(thresholds)
-            order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
-            for thr, result in zip(thresholds, results):
-                assert result.threshold == thr
+            matched = match_frame(preds, gts, thresholds)
+            assert matched.shape == (len(thresholds), len(preds))
+            for thr, row in zip(thresholds, matched.tolist()):
                 expected = greedy_match_by_enumeration(preds, gts, thr)
-                got = {
-                    order[k]: int(result.pred_matched[k])
-                    for k in range(len(preds))
-                    if result.pred_matched[k] >= 0
-                }
+                got = {i: j for i, j in enumerate(row) if j >= 0}
                 assert got == expected, f"seed {seed} threshold {thr}"
 
 
@@ -150,16 +151,14 @@ class TestAveragePrecision:
     def test_perfect_detection(self):
         gts = [box(), box(x=100)]
         preds = [box(score=0.9), box(x=100, score=0.8)]
-        matches = [match_frame(preds, gts, (0.5,))[0]]
-        assert average_precision(matches, 0) == 1.0
+        assert ap(preds, gts, 0) == 1.0
 
     def test_zero_predictions(self):
-        matches = [match_frame([], [box()], (0.5,))[0]]
-        assert average_precision(matches, 0) == 0.0
+        assert ap([], [box()], 0) == 0.0
+        assert average_precision(np.empty(0), np.empty(0, dtype=bool), 1) == 0.0
 
     def test_class_without_gt_is_nan(self):
-        matches = [match_frame([box(cls=1, score=0.5)], [box(cls=0)], (0.5,))[0]]
-        assert math.isnan(average_precision(matches, 1))
+        assert math.isnan(ap([box(cls=1, score=0.5)], [box(cls=0)], 1))
 
     def test_handcrafted_pr_curve(self):
         # 4 preds, 2 gts: hits at ranks 1 and 3
@@ -170,32 +169,33 @@ class TestAveragePrecision:
             box(x=100, score=0.7),        # TP  (recall 1.0, precision 2/3)
             box(x=300, score=0.6),        # FP
         ]
-        matches = [match_frame(preds, gts, (0.5,))[0]]
         grid = DEFAULT_RECALL_GRID
         expected = (sum(1.0 for r in grid if r <= 0.5)
                     + sum(2 / 3 for r in grid if 0.5 < r <= 1.0)) / len(grid)
-        assert average_precision(matches, 0) == pytest.approx(expected, abs=1e-12)
+        assert ap(preds, gts, 0) == pytest.approx(expected, abs=1e-12)
+        # The same cell from unsorted columns.
+        got = average_precision(np.array([0.6, 0.7, 0.9, 0.8]),
+                                np.array([False, True, True, False]), 2)
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_score_monotone_transform_invariance(self, rng):
         gts = random_boxes(rng, 10, [0, 1000])
         preds = random_boxes(rng, 20, [0, 1000], scored=True)
-        m1 = [match_frame(preds, gts, (0.5,))[0]]
         transformed = [
             AnnotatedBox(t=p.t, x=p.x, y=p.y, w=p.w, h=p.h, class_id=p.class_id,
                          score=p.score**3)
             for p in preds
         ]
-        m2 = [match_frame(transformed, gts, (0.5,))[0]]
         for c in (0, 1):
-            a1, a2 = average_precision(m1, c), average_precision(m2, c)
+            a1, a2 = ap(preds, gts, c), ap(transformed, gts, c)
             assert (math.isnan(a1) and math.isnan(a2)) or a1 == pytest.approx(a2, abs=1e-12)
 
     def test_low_score_zero_iou_fp_never_increases_ap(self, rng):
         gts = random_boxes(rng, 6, [0])
         preds = random_boxes(rng, 10, [0], scored=True)
-        base = average_precision([match_frame(preds, gts, (0.5,))[0]], 0)
+        base = ap(preds, gts, 0)
         junk = box(x=5000.0, score=0.01)  # off every gt, lowest score
-        worse = average_precision([match_frame(preds + [junk], gts, (0.5,))[0]], 0)
+        worse = ap(preds + [junk], gts, 0)
         assert worse <= base + 1e-12
 
 

@@ -103,6 +103,28 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_windows(s, 100, t_start=6)
 
+    def test_window_edges_beyond_int64_rejected(self):
+        # Two windows of 2**62 from 0 end at 2**63, one past the int64 maximum.
+        s = validate_stream([Event(0, 0, 0, 1), Event(2**62 + 5, 1, 1, 0)], GEN1)
+        with pytest.raises(ValueError, match="int64"):
+            partition_windows(s, 2**62)
+        with pytest.raises(ValueError, match="int64"):
+            partition_windows(s, 10**20)
+        # Each edge fits, but t_frame does not (or t_start is below int64).
+        with pytest.raises(ValueError, match="int64"):
+            partition_windows(s, 2**64 - 1, t_start=-2**63)
+        with pytest.raises(ValueError, match="int64"):
+            partition_windows(s, 2**62, t_start=-2**63 - 1)
+
+    def test_last_edge_at_int64_max_accepted(self):
+        # 2**63 - 1 = 7 * t_frame, so the seventh window ends on the maximum.
+        t_frame = (2**63 - 1) // 7
+        s = validate_stream([Event(0, 0, 0, 1), Event(2**63 - 2, 1, 1, 0)], GEN1)
+        parts = partition_windows(s, t_frame)
+        assert len(parts) == 7
+        assert parts[-1].window == TimeWindow(6 * t_frame, 2**63 - 1)
+        assert [w.stop - w.start for w in parts] == [1, 0, 0, 0, 0, 0, 1]
+
     def test_counts_match_brute_force(self, rng):
         s = make_stream(rng, 1000, GEN1, 200_000)
         parts = partition_windows(s, 50_000)
