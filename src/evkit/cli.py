@@ -38,7 +38,7 @@ from .representation import (
     evf_frame_size,
     read_evf,
     save_evf,
-    stacked_histogram,
+    save_stacked_histogram,
 )
 
 
@@ -165,10 +165,9 @@ def _frame_name(k: int) -> str:
 
 def _write_frame(path: Path, events: EventStream, window: TimeWindow,
                  cfg: PipelineConfig) -> None:
-    frame = stacked_histogram(
-        events, window, cfg.hist, factor=cfg.downscale_factor,
+    save_stacked_histogram(
+        path, events, window, cfg.hist, factor=cfg.downscale_factor,
         method=cfg.downscale_method, pad_multiple=cfg.pad_multiple)
-    save_evf(path, frame)
 
 
 def _check_space(out_dir: Path, n_frames: int, frame_size: int) -> None:
@@ -429,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
             threads = int(os.environ["EVKIT_THREADS"])
         cfg = load_config(args.config, args.preset, args.seed, threads)
         return args.func(args, cfg)
-    except (EvkitError, OSError, ValueError) as exc:
+    except (EvkitError, OSError, ValueError, MemoryError) as exc:
         msg = " ".join(str(exc).split())
         print(f"error code={type(exc).__name__} msg=\"{msg}\"", file=sys.stderr)
         return 1

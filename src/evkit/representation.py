@@ -11,17 +11,19 @@ Counts are 16-bit unsigned with saturating accumulation; 50 ms windows can
 exceed 255 events per pixel on fast motion, so 8-bit output is an explicit
 clip_limit export choice rather than the default.
 
-`stacked_histogram` also builds a window's downscaled, padded frame in one
-accumulation per time bin: it counts and clips each occupied
-full-resolution cell of the bin, then scatters count x tap weights into
-the bin's two channels of the final (2B, Hp, Wp) layout with one weighted
-bincount and casts them to float32 once.  Every term is a count of at
-most 65535 times k/16 per axis, so float64 sums them exactly in any order
-and the result matches `geometry.downscale` then `pad_to_multiple` byte for
-byte.  At factor 1 there is nothing to scatter: one sort of the events'
-flat (p, bin, y, x) ids in the padded layout counts them, and the clipped
-counts go straight into the padded uint16 frame, so padding is only the
-output's row stride.  Cell ids are 32-bit unless the id space exceeds 2**32.
+`stacked_histogram` also builds a window's downscaled, padded frame, one
+time bin at a time: it counts each bin's events per occupied cell with one
+sort and clips the counts.  At factor 1 the clipped counts go straight into
+the bin's two channels of the padded uint16 (2B, Hp, Wp) layout, so padding
+is only the output's row stride.  At factor > 1 each occupied
+full-resolution cell scatters count x tap weights into the bin's two
+channels of the downscaled, padded layout with one weighted bincount, and
+the sums are cast to float32 once.  Every term is a count of at most 65535
+times k/16 per axis, so float64 sums them exactly in any order and the
+result matches `geometry.downscale` then `pad_to_multiple` byte for byte.
+`save_stacked_histogram` writes the same EVF bytes with each bin's channels
+written at their file offsets and dropped, so no whole frame is held.  Cell
+ids are 32-bit unless the id space exceeds 2**32.
 """
 
 from __future__ import annotations
@@ -114,13 +116,61 @@ def stacked_histogram(
 
     `factor`, `method` and `pad_multiple` build the frame that
     `pad_to_multiple(downscale(frame, factor, method), pad_multiple)` makes of
-    it, byte for byte, without the full-resolution frame: one time bin at a
-    time, each occupied cell's clipped count is scattered through
-    `geometry.source_taps` straight into the padded float32 layout (exact;
-    see the geometry module).  At factor 1 one `np.unique` over the events'
-    padded (p, bin, y, x) ids counts the whole window, and the clipped counts
-    land in the padded uint16 layout directly.
+    it, byte for byte, without the full-resolution frame.  The frame is
+    filled one time bin at a time: each bin's events are counted per cell
+    with one `np.unique` and clipped, then placed in the padded uint16
+    layout (factor 1) or scattered through `geometry.source_taps` into the
+    padded float32 layout (exact; see the geometry module).
+    `save_stacked_histogram` writes the same frame without holding it.
     """
+    (out_h, out_w), bins = _bin_channels(stream, window, cfg, factor, method, pad_multiple)
+    values = np.empty((2, cfg.n_bins, out_h, out_w), dtype=_frame_dtype(factor))
+    for i, channels in enumerate(bins):
+        values[:, i] = channels
+    return FrameTensor(values.reshape(2 * cfg.n_bins, out_h, out_w))
+
+
+def save_stacked_histogram(
+    path: str | Path,
+    stream: EventStream,
+    window: TimeWindow,
+    cfg: StackedHistogramConfig,
+    *,
+    factor: int = 1,
+    method: str = "bilinear",
+    pad_multiple: int = 1,
+) -> None:
+    """Write `save_evf(path, stacked_histogram(...))`'s bytes one time bin at a time.
+
+    The header goes first; each bin's two channels are then written at their
+    own offsets and dropped, so no whole frame is held.  The arguments are
+    checked before the file is created.
+    """
+    (out_h, out_w), bins = _bin_channels(stream, window, cfg, factor, method, pad_multiple)
+    header, body_dtype = _evf_header(_frame_dtype(factor), (2 * cfg.n_bins, out_h, out_w))
+    plane = out_h * out_w * body_dtype.itemsize
+    with open(path, "wb") as f:
+        f.write(header)
+        # Not enumerate(bins): its result tuple keeps a bin alive while the next is counted.
+        for i in range(cfg.n_bins):
+            channels = next(bins)
+            for p in (0, 1):
+                f.seek(EVF_HEADER_SIZE + (p * cfg.n_bins + i) * plane)
+                f.write(channels[p].astype(body_dtype, copy=False).data)
+            del channels
+
+
+def _frame_dtype(factor: int) -> np.dtype:
+    """uint16 counts at factor 1, float32 resampled values otherwise."""
+    return np.dtype(np.uint16 if factor == 1 else np.float32)
+
+
+def _bin_channels(stream: EventStream, window: TimeWindow, cfg: StackedHistogramConfig,
+                  factor: int, method: str, pad_multiple: int):
+    """Check the arguments, then return the padded frame's (height, width) and
+    an iterator over its time bins.  Bin i yields its (2, height, width)
+    channels i (p = 0) and B + i (p = 1): uint16 counts at factor 1, float64
+    sums otherwise, which the caller casts to float32."""
     from .geometry import EVEN_FACTOR_TAPS, source_taps  # geometry imports this module
 
     if window.length != cfg.t_frame:
@@ -140,38 +190,34 @@ def stacked_histogram(
     elif method not in EVEN_FACTOR_TAPS:
         raise ValueError(f"unknown method {method!r}")
     out_h, out_w = _padded(height, factor, pad_multiple), _padded(width, factor, pad_multiple)
+    # Cells are counted in the padded layout at factor 1, at full resolution otherwise.
+    id_h, id_w = (out_h, out_w) if factor == 1 else (height, width)
+    id_type = np.uint32 if 2 * id_h * id_w <= 2**32 else np.int64  # u32 sorts ~3x faster
     cap = COUNT_MAX if cfg.clip_limit is None else cfg.clip_limit
-    n_ids = 2 * cfg.n_bins * out_h * out_w if factor == 1 else 2 * height * width
-    id_type = np.uint32 if n_ids <= 2**32 else np.int64  # u32 sorts ~3x faster
-    if factor == 1:
-        # Flat (p, bin, y, x) ids of the padded layout, built in one array:
-        # numpy reuses an expression's temporaries.
-        cells = (stream.p.astype(id_type) * cfg.n_bins
-                 + ((t - window.t0) // cfg.t_bin).astype(id_type))
-        cells, counts = np.unique((cells * out_h + stream.y) * out_w + stream.x,
-                                  return_counts=True)
-        values = np.zeros(n_ids, dtype=np.uint16)
-        values[cells] = np.minimum(counts, cap)
-        return FrameTensor(values.reshape(2 * cfg.n_bins, out_h, out_w))
-    # One time bin at a time: a bin's events are one contiguous run of the
-    # sorted stream and its cells are its own, so each bin is counted, clipped
-    # and scattered alone, and every temporary is a bin's size, not the window's.
-    values = np.empty((2, cfg.n_bins, out_h * out_w), dtype=np.float32)
+    # A bin's events are one contiguous run of the sorted stream and its cells
+    # are its own, so every temporary is a bin's size, not the window's.
     edges = np.searchsorted(t, window.t0 + cfg.t_bin * np.arange(cfg.n_bins + 1))
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+
+    def count(lo: int, hi: int) -> np.ndarray:
         cells, counts = np.unique(
-            (stream.p[lo:hi].astype(id_type) * height + stream.y[lo:hi]) * width
+            (stream.p[lo:hi].astype(id_type) * id_h + stream.y[lo:hi]) * id_w
             + stream.x[lo:hi], return_counts=True)
         np.minimum(counts, cap, out=counts)
+        if factor == 1:
+            channels = np.zeros(2 * out_h * out_w, dtype=np.uint16)
+            channels[cells] = counts
+            return channels.reshape(2, out_h, out_w)
         p, cells = np.divmod(cells, height * width)
         y, x = np.divmod(cells, width)
         # One (cell, y tap, x tap) term per table slot; unused slots add 0 to pixel 0.
         flat = ((p.astype(np.int64)[:, None, None] * out_h + y_index[y][:, :, None]) * out_w
                 + x_index[x][:, None, :])
         weights = counts[:, None, None] * y_weight[y][:, :, None] * x_weight[x][:, None, :]
-        values[:, i] = np.bincount(flat.ravel(), weights=weights.ravel(),
-                                   minlength=2 * out_h * out_w).reshape(2, -1)
-    return FrameTensor(values.reshape(2 * cfg.n_bins, out_h, out_w))
+        return np.bincount(flat.ravel(), weights=weights.ravel(),
+                           minlength=2 * out_h * out_w).reshape(2, out_h, out_w)
+
+    # Each bin's temporaries are freed when `count` returns.
+    return (out_h, out_w), (count(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def _padded(n: int, factor: int, pad_multiple: int) -> int:
@@ -183,9 +229,8 @@ def _padded(n: int, factor: int, pad_multiple: int) -> int:
 def evf_frame_size(geometry: SensorGeometry, cfg: StackedHistogramConfig, *,
                    factor: int = 1, pad_multiple: int = 1) -> int:
     """Bytes of the EVF file of one `stacked_histogram` frame with these arguments."""
-    itemsize = 2 if factor == 1 else 4  # uint16 counts, or float32 resampled values
     height, width = (_padded(n, factor, pad_multiple) for n in (geometry.height, geometry.width))
-    return EVF_HEADER_SIZE + 2 * cfg.n_bins * height * width * itemsize
+    return EVF_HEADER_SIZE + 2 * cfg.n_bins * height * width * _frame_dtype(factor).itemsize
 
 
 def histogram2d(stream: EventStream, window: TimeWindow) -> FrameTensor:
@@ -238,12 +283,12 @@ def sum_over_bins(frame: FrameTensor, n_bins: int) -> FrameTensor:
 # --- EVF tensor container -------------------------------------------------------
 
 
-def _evf_parts(frame: FrameTensor) -> tuple[bytes, np.ndarray]:
-    """The EVF header and the values in file order."""
-    code = _EVF_CODES.get(frame.values.dtype)
+def _evf_header(dtype: np.dtype, shape: tuple[int, int, int]) -> tuple[bytes, np.dtype]:
+    """The EVF header of a (C, H, W) frame of this dtype, and the dtype of its body."""
+    code = _EVF_CODES.get(dtype)
     if code is None:
-        raise ValueError(f"EVF stores uint16 or float32, not {frame.values.dtype}")
-    c, height, width = frame.shape
+        raise ValueError(f"EVF stores uint16 or float32, not {dtype}")
+    c, height, width = shape
     header = (
         EVF_MAGIC
         + bytes([code, 0])
@@ -251,7 +296,13 @@ def _evf_parts(frame: FrameTensor) -> tuple[bytes, np.ndarray]:
         + int(height).to_bytes(4, "little")
         + int(width).to_bytes(4, "little")
     )
-    return header, np.ascontiguousarray(frame.values, dtype=_EVF_DTYPES[code])
+    return header, _EVF_DTYPES[code]
+
+
+def _evf_parts(frame: FrameTensor) -> tuple[bytes, np.ndarray]:
+    """The EVF header and the values in file order."""
+    header, body_dtype = _evf_header(frame.values.dtype, frame.shape)
+    return header, np.ascontiguousarray(frame.values, dtype=body_dtype)
 
 
 def write_evf(frame: FrameTensor) -> bytes:
@@ -323,8 +374,11 @@ class EventRateStats:
         self.last_t = int(chunk.t[-1])
         self.events += len(chunk)
         self.pos += int(np.count_nonzero(chunk.p))
-        flat = chunk.y.astype(np.int64) * width + chunk.x
-        self._per_pixel += np.bincount(flat, minlength=width * height)
+        # Only the chunk's occupied pixels are touched: no sensor-sized temporary.
+        # A sensor has at most 65536 x 65536 pixels, so the ids fit 32 bits.
+        pixels, counts = np.unique(chunk.y.astype(np.uint32) * width + chunk.x,
+                                   return_counts=True)
+        self._per_pixel[pixels] += counts
 
     def summary(self) -> dict:
         duration = self.last_t - self.first_t + 1 if self.events else 0

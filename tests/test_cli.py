@@ -14,10 +14,11 @@ from evkit.augment import AugmentConfig, SampledAugmentation, apply_to_boxes
 from evkit.detmetrics import EvalConfig
 from evkit.errors import (BadPolarity, NonMonotoneTimestamp, OutOfBounds, ParseError,
                           ReservedByteSet)
-from evkit.event_core import EventStream, SensorGeometry, partition_windows, validate_stream
+from evkit.event_core import (EventStream, SensorGeometry, TimeWindow, partition_windows,
+                              validate_stream)
 from evkit.geometry import AffineTransform
-from evkit.representation import (FrameTensor, StackedHistogramConfig, read_evf, save_evf,
-                                  stacked_histogram)
+from evkit.representation import (EVF_HEADER_SIZE, FrameTensor, StackedHistogramConfig,
+                                  evf_frame_size, read_evf, save_evf, stacked_histogram)
 from evkit.sampler import parse_plan
 
 from conftest import make_stream, traced_peak
@@ -197,6 +198,23 @@ class TestConvert:
             assert len(list(out.glob("frame_*.evf"))) == n_windows
         assert peaks[1] - peaks[0] < 20 * 256 * 320 * 2
 
+    def test_gen4_window_is_written_without_a_whole_frame(self, tmp_path):
+        # Frames are written one time bin at a time, so converting one window
+        # holds its events and one bin's temporaries, not the 19.7 MB frame.
+        cfg = cli.PRESETS["gen4-like"]
+        base = make_stream(np.random.default_rng(4), 600_000, cfg.geometry, cfg.hist.t_frame)
+        window = TimeWindow(0, cfg.hist.t_frame)
+
+        def convert_window():
+            events = EventStream(base.geometry, *(getattr(base, f).copy() for f in "txyp"))
+            cli._write_frame(tmp_path / "f.evf", events, window, cfg)
+
+        frame = evf_frame_size(cfg.geometry, cfg.hist, factor=cfg.downscale_factor,
+                               pad_multiple=cfg.pad_multiple) - EVF_HEADER_SIZE
+        events = sum(getattr(base, f).nbytes for f in "txyp")
+        assert traced_peak(convert_window) < events + frame // 2
+        assert (tmp_path / "f.evf").stat().st_size == frame + EVF_HEADER_SIZE
+
     def test_dat_input(self, tmp_path):
         import struct
 
@@ -257,6 +275,19 @@ class TestStats:
         synth_recording(rec, n=0)
         assert cli.main(["stats", str(rec)]) == 0
         assert "events=0" in capsys.readouterr().out
+
+    def test_memory_is_one_per_pixel_table(self, tmp_path, capsys):
+        # One event on a sensor declared 2048x2048: the int64 count table is
+        # the only sensor-sized array, with no whole-sensor temporary beside it.
+        import struct
+
+        rec = tmp_path / "rec.dat"
+        rec.write_bytes(b"% Width 2048\n% Height 2048\n" + bytes([0, 8])
+                        + struct.pack("<II", 10, 2047 | (2047 << 14) | (1 << 28)))
+        table = 2048 * 2048 * 8
+        assert traced_peak(run_ok, ["stats", str(rec)]) < 1.25 * table
+        out = capsys.readouterr().out
+        assert "events=1\n" in out and "max_per_pixel=1\n" in out and "geometry=2048x2048" in out
 
 
 def dat_bytes(stream) -> bytes:
@@ -699,6 +730,24 @@ class TestErrors:
         assert err.count("\n") == 1
         assert err.startswith('error code=ParseError msg="at index 4 (t=99999999999999999999999')
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, callee", [("convert", "save_stacked_histogram"),
+                                                 ("stats", "EventRateStats")])
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, command, callee):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 32.0 GiB for an array with\n"
+                              "shape (4294967296,) and data type int64")
+
+        monkeypatch.setattr(cli, callee, exhausted)
+        rec = tmp_path / "rec.evs"
+        synth_recording(rec, n=500)
+        argv = [command, str(rec), "--config", str(tiny_config(tmp_path / "cfg.ini"))]
+        if command == "convert":
+            argv += ["--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert re.fullmatch(r'error code=MemoryError msg="Unable to allocate 32\.0 GiB for an '
+                            r'array with shape \(4294967296,\) and data type int64"\n',
+                            capsys.readouterr().err)
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         rec = tmp_path / "rec.evs"

@@ -110,8 +110,10 @@ class TestDownscaledPaddedLayout:
         order = np.argsort(np.concatenate([background.t, np.full(70_000, 500)]), kind="stable")
         hot = [np.concatenate([column, np.full(70_000, value)])[order] for column, value in
                ((background.t, 500), (background.x, 35), (background.y, 0), (background.p, 1))]
+        gaps = make_stream(rng, 60, g, 500, t_min=250)  # bins 0, 2 and 3 are empty
         return {"dense": make_stream(rng, n_cells // 4, g, 1_000),
                 "sparse": make_stream(rng, 40, g, 1_000),
+                "gaps": gaps,
                 "empty": validate_stream([], g),
                 "saturated": EventStream(g, *hot)}
 
@@ -133,8 +135,23 @@ class TestDownscaledPaddedLayout:
                 assert got.shape == expected.shape, name
                 assert got.values.tobytes() == expected.values.tobytes(), name
 
+    @pytest.mark.parametrize("clip_limit", [None, 3])
     @pytest.mark.parametrize("factor", [1, 2, 3])
-    def test_events_on_bin_edges_of_a_later_window(self, factor):
+    @pytest.mark.parametrize("method", sorted(EVEN_FACTOR_TAPS))
+    def test_saver_writes_the_frame_bytes(self, rng, tmp_path, method, factor, clip_limit):
+        cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=4, clip_limit=clip_limit)
+        window = TimeWindow(0, 1_000)
+        for name, stream in self._windows(rng).items():
+            for multiple in (1, 32):
+                kwargs = dict(factor=factor, method=method, pad_multiple=multiple)
+                rep.save_evf(tmp_path / "frame.evf",
+                             rep.stacked_histogram(stream, window, cfg, **kwargs))
+                rep.save_stacked_histogram(tmp_path / "bins.evf", stream, window, cfg, **kwargs)
+                assert ((tmp_path / "bins.evf").read_bytes()
+                        == (tmp_path / "frame.evf").read_bytes()), (name, multiple)
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_events_on_bin_edges_of_a_later_window(self, tmp_path, factor):
         # Downscaled frames are built one time bin at a time; each event on
         # either side of an edge must land in its own bin.
         g = self.GEOMETRY
@@ -148,6 +165,24 @@ class TestDownscaledPaddedLayout:
             frame = downscale(frame, factor, "bilinear")
         got = rep.stacked_histogram(stream, window, cfg, factor=factor, pad_multiple=5)
         assert got.values.tobytes() == pad_to_multiple(frame, 5)[0].values.tobytes()
+        rep.save_stacked_histogram(tmp_path / "f.evf", stream, window, cfg, factor=factor,
+                                   pad_multiple=5)
+        assert (tmp_path / "f.evf").read_bytes() == rep.write_evf(got)
+
+    @pytest.mark.parametrize("window, kwargs, error", [
+        (TimeWindow(0, 1_000), {}, EventOutsideWindow),  # the event is at t=1_500
+        (TimeWindow(1_000, 3_000), {}, ValueError),  # not t_frame long
+        (TimeWindow(1_000, 2_000), {"pad_multiple": 0}, ValueError),
+        (TimeWindow(1_000, 2_000), {"factor": 5}, NotDivisible),
+        (TimeWindow(1_000, 2_000), {"method": "area"}, ValueError),
+    ])
+    def test_saver_checks_before_creating_the_file(self, tmp_path, window, kwargs, error):
+        cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=4)
+        stream = validate_stream([Event(1_500, 3, 4, 1)], self.GEOMETRY)
+        path = tmp_path / "f.evf"
+        with pytest.raises(error):
+            rep.save_stacked_histogram(path, stream, window, cfg, **kwargs)
+        assert not path.exists()
 
     def test_bad_arguments(self):
         cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=1)
