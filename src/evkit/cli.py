@@ -29,8 +29,7 @@ import numpy as np
 from . import augment as augmod
 from . import codec, detmetrics, sampler
 from .errors import BadHeader, EvkitError, InsufficientSpace, ParseError
-from .event_core import (EventStream, SensorGeometry, TimeWindow, WindowSlice, stream_windows,
-                         window_count)
+from .event_core import SensorGeometry, WindowSlice, stream_windows, window_count
 from .geometry import EVEN_FACTOR_TAPS, map_boxes
 from .representation import (
     EventRateStats,
@@ -163,13 +162,6 @@ def _frame_name(k: int) -> str:
 # --- convert -----------------------------------------------------------------------
 
 
-def _write_frame(path: Path, events: EventStream, window: TimeWindow,
-                 cfg: PipelineConfig) -> None:
-    save_stacked_histogram(
-        path, events, window, cfg.hist, factor=cfg.downscale_factor,
-        method=cfg.downscale_method, pad_multiple=cfg.pad_multiple)
-
-
 def _check_space(out_dir: Path, n_frames: int, frame_size: int) -> None:
     """Fail before anything is written when the frames cannot fit where out_dir goes."""
     probe = out_dir.absolute()
@@ -213,7 +205,10 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
                         return
                     k = len(written)
                     written.append(w)
-                _write_frame(out_dir / _frame_name(k), events, w.window, cfg)
+                save_stacked_histogram(
+                    out_dir / _frame_name(k), events, w.window, cfg.hist,
+                    factor=cfg.downscale_factor, method=cfg.downscale_method,
+                    pad_multiple=cfg.pad_multiple)
                 del events
 
         # This thread is one of the --threads workers, so one thread starts none.

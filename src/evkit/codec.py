@@ -81,19 +81,6 @@ class _Body:
 
 
 @dataclass(frozen=True)
-class RecordingHeader:
-    """Metadata decoded from a container header."""
-
-    geometry: SensorGeometry
-    event_count: int
-    format_version: int
-
-    def __post_init__(self):
-        if self.event_count < 0:
-            raise ValueError("event_count must be non-negative")
-
-
-@dataclass(frozen=True)
 class AnnotatedBox:
     """Ground-truth or predicted bounding box at a point in time.
 
@@ -143,23 +130,6 @@ def encode_evs(stream: EventStream) -> bytes:
     return header + records.tobytes()
 
 
-def evs_header(data: bytes) -> RecordingHeader:
-    """Decode the fixed EVS header without touching the event body."""
-    if len(data) < 4:
-        raise TruncatedFile(f"need at least 4 bytes for magic, got {len(data)}")
-    magic = bytes(data[:4])
-    if magic != EVS_MAGIC:
-        if magic[:3] == EVS_MAGIC[:3]:
-            raise VersionUnsupported(f"unsupported EVS version byte {magic[3:4]!r}")
-        raise BadMagic(f"expected {EVS_MAGIC!r}, got {magic!r}")
-    if len(data) < EVS_HEADER_SIZE:
-        raise TruncatedFile(f"EVS header is {EVS_HEADER_SIZE} bytes, got {len(data)}")
-    width = int(np.frombuffer(data, "<u4", count=1, offset=4)[0])
-    height = int(np.frombuffer(data, "<u4", count=1, offset=8)[0])
-    count = int(np.frombuffer(data, "<u8", count=1, offset=12)[0])
-    return RecordingHeader(_header_geometry(width, height), count, format_version=1)
-
-
 def _header_geometry(width: int, height: int) -> SensorGeometry:
     """SensorGeometry from header fields; out-of-range sizes are a BadHeader."""
     try:
@@ -169,16 +139,25 @@ def _header_geometry(width: int, height: int) -> SensorGeometry:
 
 
 def _evs_body(fh: BinaryIO, size: int) -> _Body:
-    header = evs_header(fh.read(EVS_HEADER_SIZE))
+    header = fh.read(EVS_HEADER_SIZE)
+    if len(header) < 4:
+        raise TruncatedFile(f"need at least 4 bytes for magic, got {len(header)}")
+    magic = header[:4]
+    if magic != EVS_MAGIC:
+        if magic[:3] == EVS_MAGIC[:3]:
+            raise VersionUnsupported(f"unsupported EVS version byte {magic[3:4]!r}")
+        raise BadMagic(f"expected {EVS_MAGIC!r}, got {magic!r}")
+    if len(header) < EVS_HEADER_SIZE:
+        raise TruncatedFile(f"EVS header is {EVS_HEADER_SIZE} bytes, got {len(header)}")
+    geometry = _header_geometry(*(int.from_bytes(header[i:i + 4], "little") for i in (4, 8)))
+    count = int.from_bytes(header[12:], "little")
     body = size - EVS_HEADER_SIZE
-    expected = header.event_count * EVS_RECORD_SIZE
+    expected = count * EVS_RECORD_SIZE
     if body != expected:
         raise TruncatedFile(
-            f"body is {body} bytes, header declares {header.event_count} "
-            f"events ({expected} bytes)"
+            f"body is {body} bytes, header declares {count} events ({expected} bytes)"
         )
-    return _Body(header.geometry, EVS_HEADER_SIZE, header.event_count, _EVS_READ_DTYPE,
-                 _evs_fields)
+    return _Body(geometry, EVS_HEADER_SIZE, count, _EVS_READ_DTYPE, _evs_fields)
 
 
 def _evs_fields(records: np.ndarray) -> tuple[np.ndarray, ...]:

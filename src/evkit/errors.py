@@ -46,10 +46,6 @@ class EventOutsideWindow(EvkitError):
     """An event's timestamp is not inside the accumulation window."""
 
 
-class FutureEvent(EvkitError):
-    """An event is newer than the time-surface reference time."""
-
-
 # --- binary containers --------------------------------------------------------
 
 class BadMagic(EvkitError):

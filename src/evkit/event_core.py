@@ -8,7 +8,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -310,16 +310,3 @@ def slice_window(stream: EventStream, window: TimeWindow) -> EventStream:
     """
     lo, hi = np.searchsorted(stream.t, [window.t0, window.t1], side="left")
     return stream[lo:hi]
-
-
-def concat_streams(parts: Sequence[EventStream], geometry: SensorGeometry) -> EventStream:
-    """Concatenate already-ordered stream slices back into one stream."""
-    if not parts:
-        return validate_stream([], geometry)
-    return EventStream(
-        geometry,
-        np.concatenate([s.t for s in parts]),
-        np.concatenate([s.x for s in parts]),
-        np.concatenate([s.y for s in parts]),
-        np.concatenate([s.p for s in parts]),
-    )

@@ -196,22 +196,13 @@ def pad_to_multiple(frame: FrameTensor, multiple: int) -> tuple[FrameTensor, tup
     return FrameTensor(padded), (pad_h, pad_w)
 
 
-def map_boxes(
-    boxes: Sequence[AnnotatedBox],
-    scale: float | tuple[float, float],
-    pad: tuple[float, float] = (0.0, 0.0),
-) -> list[AnnotatedBox]:
-    """Scale box coordinates per axis and add padding offsets to the corner.
+def map_boxes(boxes: Sequence[AnnotatedBox], scale: float) -> list[AnnotatedBox]:
+    """Scale box coordinates and sizes by one positive factor on both axes.
 
-    `scale` is a scalar or (sx, sy); `pad` is the (x, y) offset of the
-    original content inside the padded frame (zero for bottom/right padding).
-    Class, score, and track ids are preserved.
+    Padding is on the bottom/right only, so no offset is added.  Class,
+    score, and track ids are preserved.
     """
-    sx, sy = (scale, scale) if np.isscalar(scale) else scale
-    if sx <= 0 or sy <= 0:
-        raise ValueError(f"scale must be positive, got ({sx}, {sy})")
-    ox, oy = pad
-    return [
-        replace(b, x=b.x * sx + ox, y=b.y * sy + oy, w=b.w * sx, h=b.h * sy)
-        for b in boxes
-    ]
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    return [replace(b, x=b.x * scale, y=b.y * scale, w=b.w * scale, h=b.h * scale)
+            for b in boxes]

@@ -4,8 +4,7 @@ The primary representation is the stacked 2D histogram: a window of
 t_frame microseconds is split into B equal sub-bins and events are counted
 per (polarity, bin, y, x), then the polarity and bin axes are flattened to
 channels c = p*B + i (polarity-major, matching a row-major flatten of
-(2, B, H, W)).  A plain 2D histogram is the B=1 case; a time surface encodes
-per-pixel recency of the last event instead of counts.
+(2, B, H, W)).  A plain 2D histogram is the B=1 case.
 
 Counts are 16-bit unsigned with saturating accumulation; 50 ms windows can
 exceed 255 events per pixel on fast motion, so 8-bit output is an explicit
@@ -33,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadHeader, BadMagic, EventOutsideWindow, FutureEvent, NonFiniteValue,
-                     TruncatedFile)
+from .errors import BadHeader, BadMagic, EventOutsideWindow, NonFiniteValue, TruncatedFile
 from .event_core import EventStream, SensorGeometry, TimeWindow
 
 EVF_MAGIC = b"EVF1"
@@ -49,8 +47,8 @@ COUNT_MAX = np.iinfo(np.uint16).max
 class FrameTensor:
     """Dense (C, H, W) row-major tensor for one time window.
 
-    Histogram variants hold unsigned counts (uint16); time surfaces and
-    resampled frames hold float32 values.
+    Histograms hold unsigned counts (uint16); downscaled and augmented
+    frames hold float32 values.
     """
 
     values: np.ndarray
@@ -59,10 +57,6 @@ class FrameTensor:
         if self.values.ndim != 3:
             raise ValueError(f"expected (C,H,W), got shape {self.values.shape}")
         self.values.flags.writeable = False
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[0]
 
     @property
     def height(self) -> int:
@@ -239,37 +233,6 @@ def histogram2d(stream: EventStream, window: TimeWindow) -> FrameTensor:
     return stacked_histogram(stream, window, cfg)
 
 
-def time_surface(
-    stream: EventStream, t_ref: int, tau: int, mode: str = "linear"
-) -> FrameTensor:
-    """Per-pixel recency of the last event, as a (2, H, W) float32 in [0, 1].
-
-    linear:      max(0, 1 - (t_ref - t_last)/tau)
-    exponential: exp(-(t_ref - t_last)/tau)
-
-    Pixels that never fired are 0.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if mode not in ("linear", "exponential"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if len(stream) and stream.t[-1] > t_ref:
-        raise FutureEvent(f"event at t={int(stream.t[-1])} is after t_ref={t_ref}")
-    height, width = stream.geometry.height, stream.geometry.width
-    last = np.full((2, height, width), -1, dtype=np.int64)
-    # Streams are time-ordered, so the most recent event per cell is the max.
-    np.maximum.at(last, (stream.p.astype(np.intp), stream.y.astype(np.intp),
-                         stream.x.astype(np.intp)), stream.t)
-    fired = last >= 0
-    elapsed = np.where(fired, t_ref - last, 0).astype(np.float64)
-    if mode == "linear":
-        values = np.maximum(0.0, 1.0 - elapsed / tau)
-    else:
-        values = np.exp(-elapsed / tau)
-    values[~fired] = 0.0
-    return FrameTensor(values.astype(np.float32))
-
-
 def sum_over_bins(frame: FrameTensor, n_bins: int) -> FrameTensor:
     """Collapse a stacked histogram's bin axis, recovering the 2-channel histogram."""
     c, height, width = frame.shape
@@ -390,10 +353,3 @@ class EventRateStats:
             "neg": self.events - self.pos,
             "max_per_pixel": 0 if self._per_pixel is None else int(self._per_pixel.max()),
         }
-
-
-def event_rate_stats(stream: EventStream) -> dict:
-    """Single-pass summary counts used by the stats command."""
-    stats = EventRateStats(stream.geometry)
-    stats.add(stream)
-    return stats.summary()

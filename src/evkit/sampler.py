@@ -174,16 +174,23 @@ def parse_plan(text: str) -> list[Batch]:
 
 
 def read_sequence_index(path) -> list[SequenceIndex]:
-    """Read `seq=<id> frames=<n> annotated=<01 bits|->` lines."""
+    """Read `seq=<id> frames=<n> annotated=<01 bits|->` lines; ids are unique."""
     out = []
+    seen = set()
     for lineno, line in read_lines(path):
         fields = parse_fields(line, lineno, ("seq", "frames"))
         flags = fields.get("annotated", "-")
         if flags != "-" and not set(flags) <= {"0", "1"}:
             raise ParseError(lineno, f"annotated must be '-' or 0/1 bits, got {flags!r}")
+        if fields["seq"] in seen:
+            raise ParseError(lineno, f"sequence id {fields['seq']!r} is repeated")
+        seen.add(fields["seq"])
         try:
+            frames = int(fields["frames"])
+            if frames >= 2**63:  # plan_epoch draws clip starts as int64
+                raise ValueError(f"frames={frames} does not fit in 64 bits")
             annotated = None if flags == "-" else tuple(ch == "1" for ch in flags)
-            out.append(SequenceIndex(fields["seq"], int(fields["frames"]), annotated))
+            out.append(SequenceIndex(fields["seq"], frames, annotated))
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from exc
     return out

@@ -33,21 +33,6 @@ def stacked_counts(events, t0, t_bin, n_bins, height, width):
     return out
 
 
-def last_event_times(events, height, width):
-    """Per (p, y, x) most recent timestamp via per-pixel scans."""
-    table = {}
-    for p in (0, 1):
-        for yy in range(height):
-            for xx in range(width):
-                last = None
-                for t, x, y, pp in events:
-                    if x == xx and y == yy and pp == p:
-                        last = t if last is None else max(last, t)
-                if last is not None:
-                    table[(p, yy, xx)] = last
-    return table
-
-
 # --- resampling ------------------------------------------------------------------
 
 

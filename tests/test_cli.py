@@ -18,7 +18,8 @@ from evkit.event_core import (EventStream, SensorGeometry, TimeWindow, partition
                               validate_stream)
 from evkit.geometry import AffineTransform
 from evkit.representation import (EVF_HEADER_SIZE, FrameTensor, StackedHistogramConfig,
-                                  evf_frame_size, read_evf, save_evf, stacked_histogram)
+                                  evf_frame_size, read_evf, save_evf, save_stacked_histogram,
+                                  stacked_histogram)
 from evkit.sampler import parse_plan
 
 from conftest import make_stream, traced_peak
@@ -207,7 +208,9 @@ class TestConvert:
 
         def convert_window():
             events = EventStream(base.geometry, *(getattr(base, f).copy() for f in "txyp"))
-            cli._write_frame(tmp_path / "f.evf", events, window, cfg)
+            save_stacked_histogram(tmp_path / "f.evf", events, window, cfg.hist,
+                                   factor=cfg.downscale_factor, method=cfg.downscale_method,
+                                   pad_multiple=cfg.pad_multiple)
 
         frame = evf_frame_size(cfg.geometry, cfg.hist, factor=cfg.downscale_factor,
                                pad_multiple=cfg.pad_multiple) - EVF_HEADER_SIZE
@@ -594,6 +597,20 @@ class TestPlanCommand:
         cli.main(["plan", str(index), "--output", str(p1), "--seed", "5"])
         cli.main(["plan", str(index), "--output", str(p2), "--seed", "5"])
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("second", [
+        "seq=a frames=6",  # the plan would mix two sequences under one id
+        "seq=b frames=99999999999999999999",  # beyond int64
+    ])
+    def test_bad_index_line_is_one_parse_error_line(self, tmp_path, capsys, second):
+        index = tmp_path / "seqs.txt"
+        index.write_text(f"seq=a frames=5\n{second}\n")
+        rc = cli.main(["plan", str(index), "--output", str(tmp_path / "plan.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith('error code=ParseError msg="at index 2 (')
+        assert not (tmp_path / "plan.txt").exists()
 
 
 class TestEvaluateCommand:

@@ -36,12 +36,13 @@ class TestEvs:
         out = codec.decode_evs(codec.encode_evs(s))
         assert out[0].t == 2**40
 
-    def test_header_fields(self, rng):
+    def test_header_fields(self, rng, tmp_path):
         s = make_stream(rng, 5, GEN1, 100)
-        h = codec.evs_header(codec.encode_evs(s))
-        assert h.geometry == GEN1
-        assert h.event_count == 5
-        assert h.format_version == 1
+        path = tmp_path / "rec.evs"
+        path.write_bytes(codec.encode_evs(s))
+        with codec.Recording(path) as rec:
+            assert rec.geometry == GEN1
+            assert rec.count == 5
 
     def test_record_layout_is_14_bytes(self):
         s = validate_stream([Event(1, 2, 3, 1)], GEN1)

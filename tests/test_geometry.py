@@ -165,10 +165,6 @@ class TestMapBoxes:
         assert once[0].x == pytest.approx(direct[0].x)
         assert once[0].w == pytest.approx(direct[0].w)
 
-    def test_per_axis_scale_and_pad(self):
-        out = map_boxes([self.BOX], (2.0, 0.5), pad=(3.0, 4.0))[0]
-        assert (out.x, out.y, out.w, out.h) == (23, 14, 60, 20)
-
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             map_boxes([self.BOX], 0.0)

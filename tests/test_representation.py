@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from evkit import representation as rep
-from evkit.errors import (BadHeader, BadMagic, EventOutsideWindow, FutureEvent,
-                          NonFiniteValue, NotDivisible, TruncatedFile)
+from evkit.errors import (BadHeader, BadMagic, EventOutsideWindow, NonFiniteValue,
+                          NotDivisible, TruncatedFile)
 from evkit.event_core import Event, EventStream, SensorGeometry, TimeWindow, validate_stream
 from evkit.geometry import EVEN_FACTOR_TAPS, downscale, pad_to_multiple
 
 from conftest import make_stream
-from oracles import last_event_times, stacked_counts
+from oracles import stacked_counts
 
 GEOM = SensorGeometry(32, 24)
 
@@ -231,59 +231,6 @@ class TestHistogram2d:
         )
 
 
-class TestTimeSurface:
-    def test_event_at_t_ref_is_one(self):
-        s = validate_stream([Event(1_000, 2, 3, 1)], GEOM)
-        for mode in ("linear", "exponential"):
-            f = rep.time_surface(s, t_ref=1_000, tau=500, mode=mode)
-            assert f.values[1, 3, 2] == pytest.approx(1.0)
-
-    def test_linear_reaches_zero_at_tau(self):
-        s = validate_stream([Event(0, 2, 3, 0)], GEOM)
-        f = rep.time_surface(s, t_ref=500, tau=500, mode="linear")
-        assert f.values[0, 3, 2] == 0.0
-
-    def test_future_event_rejected(self):
-        s = validate_stream([Event(100, 0, 0, 1)], GEOM)
-        with pytest.raises(FutureEvent):
-            rep.time_surface(s, t_ref=99, tau=10)
-
-    def test_matches_per_pixel_scan(self, rng):
-        small = SensorGeometry(10, 8)
-        s = make_stream(rng, 400, small, 2_000)
-        t_ref, tau = 2_500, 700
-        table = last_event_times([(e.t, e.x, e.y, e.p) for e in s], 8, 10)
-        for mode in ("linear", "exponential"):
-            f = rep.time_surface(s, t_ref, tau, mode)
-            for p in range(2):
-                for y in range(8):
-                    for x in range(10):
-                        last = table.get((p, y, x))
-                        if last is None:
-                            expected = 0.0
-                        elif mode == "linear":
-                            expected = max(0.0, 1.0 - (t_ref - last) / tau)
-                        else:
-                            expected = np.exp(-(t_ref - last) / tau)
-                        assert f.values[p, y, x] == pytest.approx(expected, abs=1e-6)
-
-    def test_monotone_in_new_events(self, rng):
-        small = SensorGeometry(6, 6)
-        s = make_stream(rng, 100, small, 1_000)
-        f1 = rep.time_surface(s, 2_000, 1_500)
-        newer = validate_stream(
-            [(e.t, e.x, e.y, e.p) for e in s] + [Event(1_800, 3, 3, 1)], small
-        )
-        f2 = rep.time_surface(newer, 2_000, 1_500)
-        assert np.all(f2.values >= f1.values)
-
-    def test_values_in_unit_interval(self, rng):
-        s = make_stream(rng, 300, GEOM, 4_000)
-        for mode in ("linear", "exponential"):
-            f = rep.time_surface(s, 1_000_000, 100, mode)
-            assert f.values.min() >= 0.0 and f.values.max() <= 1.0
-
-
 class TestEvfContainer:
     def test_u16_roundtrip(self, rng):
         values = rng.integers(0, 2**16, (20, 16, 12)).astype(np.uint16)
@@ -356,17 +303,37 @@ class TestEvfContainer:
 
 
 class TestStats:
+    @staticmethod
+    def summary(*chunks, geometry=GEOM):
+        stats = rep.EventRateStats(geometry)
+        for chunk in chunks:
+            stats.add(chunk)
+        return stats.summary()
+
     def test_empty(self):
-        stats = rep.event_rate_stats(validate_stream([], GEOM))
+        stats = self.summary(validate_stream([], GEOM))
         assert stats["events"] == 0 and stats["rate_eps"] == 0.0
+        assert stats["duration_us"] == 0 and stats["max_per_pixel"] == 0
+        assert self.summary() == stats
 
     def test_known_stream(self):
         s = validate_stream(
             [Event(0, 1, 1, 1), Event(500_000, 1, 1, 0), Event(999_999, 1, 1, 1)], GEOM
         )
-        stats = rep.event_rate_stats(s)
+        stats = self.summary(s)
         assert stats["events"] == 3
         assert stats["duration_us"] == 1_000_000
         assert stats["rate_eps"] == pytest.approx(3.0)
         assert stats["pos"] == 2 and stats["neg"] == 1
         assert stats["max_per_pixel"] == 3
+
+    def test_chunks_sum_to_the_whole_stream(self, rng):
+        s = make_stream(rng, 3_000, SensorGeometry(4, 3), 90_000)
+        cuts = [0, 700, 700, 1_900, 2_999, len(s)]  # one empty and one 1-event chunk
+        chunks = [s[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+        whole = self.summary(s, geometry=s.geometry)
+        assert self.summary(*chunks, geometry=s.geometry) == whole
+        assert whole["duration_us"] == int(s.t[-1]) - int(s.t[0]) + 1
+        # The hottest pixel's count is only right if the table carries across chunks.
+        assert whole["max_per_pixel"] > max(
+            np.bincount(c.y.astype(np.int64) * 4 + c.x).max() for c in chunks if len(c))

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from evkit.errors import EmptyDataset, ParseError
@@ -169,6 +168,8 @@ class TestSerialization:
     @pytest.mark.parametrize("content", [
         b"seq=a frames=3 annotated=101\nseq=b frames=3 annotated=0x1\n",
         b"seq=a frames=3 annotated=101\nseq=\xff frames=3 annotated=-\n",
+        b"seq=a frames=5\nseq=a frames=6\n",  # a repeated id
+        b"seq=a frames=5\nseq=b frames=9223372036854775808\n",  # 2**63
     ])
     def test_bad_sequence_index_line_is_parse_error(self, tmp_path, content):
         path = tmp_path / "index.txt"
