@@ -9,8 +9,9 @@ touches the labels.
 
 Video mode freezes the geometric draw for a whole clip and redraws erasure
 per frame.  The clip draw and the per-frame erasure draws use disjoint RNG
-substreams, so the number of frames never perturbs the geometric parameters,
-and a one-frame clip reproduces frame-mode sampling exactly.  `augment_clip`
+substreams, so the number of frames never perturbs the geometric parameters.
+A clip's first frame takes its draw from `sample_augmentation`, so a
+one-frame clip reproduces frame-mode sampling exactly.  `augment_clip`
 yields each frame as it is augmented, so a clip costs O(frame) memory, not
 O(clip length x frame).
 
@@ -107,8 +108,7 @@ class SampledAugmentation:
     def is_geometric_identity(self) -> bool:
         # Stages that are drawn as not-applied contribute exact identity
         # matrices, so a no-op draw composes to the identity bit-for-bit.
-        return np.array_equal(self.transform.matrix,
-                              np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        return np.array_equal(self.transform.matrix, AffineTransform.identity().matrix)
 
 
 def _draw_geometric(cfg: AugmentConfig, height: int, width: int, rng: np.random.Generator):
@@ -313,17 +313,19 @@ def augment_clip(
     only when it is augmented."""
     rng = np.random.default_rng(rng)
     shape = None
-    # spawn(1) numbers its children in turn, so child 0 is the geometric draw
-    # and child 1 + k is frame k's erasure, however many frames follow.
+    # Frame 0 takes sample_augmentation's draw, whose spawn(2) gives child 0 to
+    # the geometry and child 1 to its erasure.  spawn(1) numbers its children
+    # on from there, so child 1 + k is frame k's erasure however many follow.
     for frame, boxes in zip(frames, boxes_per_frame, strict=True):
         if shape is None:
-            shape, height, width = frame.shape, frame.height, frame.width
-            geo = _draw_geometric(cfg, height, width, rng.spawn(1)[0])
-            clip_draw = SampledAugmentation(height, width, *geo, erasure=None)
-            taps = None if clip_draw.is_geometric_identity else _warp_taps(clip_draw)
+            shape = frame.shape
+            aug = sample_augmentation(cfg, frame.height, frame.width, rng)
+            taps = None if aug.is_geometric_identity else _warp_taps(aug)
         elif frame.shape != shape:
             raise ShapeMismatch("clip frames must share one shape")
-        aug = replace(clip_draw, erasure=_draw_erasure(cfg, height, width, rng.spawn(1)[0]))
+        else:
+            aug = replace(aug, erasure=_draw_erasure(cfg, aug.height, aug.width,
+                                                     rng.spawn(1)[0]))
         yield (apply_to_frame(frame, aug, taps),
                apply_to_boxes(boxes, aug, cfg.min_box_area, cfg.min_box_visibility), aug)
         del frame  # so the next frame is read without this one alive

@@ -32,7 +32,6 @@ from .errors import BadHeader, EvkitError, InsufficientSpace, ParseError
 from .event_core import SensorGeometry, WindowSlice, stream_windows, window_count
 from .geometry import EVEN_FACTOR_TAPS, map_boxes
 from .representation import (
-    EventRateStats,
     StackedHistogramConfig,
     evf_frame_size,
     read_evf,
@@ -179,7 +178,7 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
     boxes = codec.read_annotations(args.annotations) if args.annotations else []
     out_dir = Path(args.output)
     with read_recording(args.input, cfg.geometry) as rec:
-        windows = iter(())
+        windows, n_windows = iter(()), 0
         if rec.first_t is not None:
             n_windows = window_count(rec.first_t, rec.last_t, cfg.hist.t_frame, args.t_start)
             _check_space(out_dir, n_windows, evf_frame_size(
@@ -211,9 +210,11 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
                     pad_multiple=cfg.pad_multiple)
                 del events
 
-        # This thread is one of the --threads workers, so one thread starts none.
-        with ThreadPoolExecutor(max_workers=max(cfg.threads - 1, 1)) as pool:
-            helpers = [pool.submit(work) for _ in range(cfg.threads - 1)]
+        # This thread is one of the workers, so one worker starts no thread,
+        # and a worker beyond one per window would find no window to take.
+        workers = min(cfg.threads, n_windows)
+        with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+            helpers = [pool.submit(work) for _ in range(workers - 1)]
             work()
             for future in helpers:
                 future.result()
@@ -240,17 +241,25 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
 
 def cmd_stats(args, cfg: PipelineConfig) -> int:
     with read_recording(args.input, cfg.geometry) as rec:
-        acc = EventRateStats(rec.geometry)
+        width = rec.geometry.width
+        pos = 0
+        # One int64 count per pixel, allocated only for a non-empty recording.
+        per_pixel = np.zeros(width * rec.geometry.height if rec.count else 0, dtype=np.int64)
         for chunk in rec.chunks():
-            acc.add(chunk)
-    stats = acc.summary()
-    print(f"events={stats['events']}")
-    print(f"duration_us={stats['duration_us']}")
-    print(f"rate_eps={stats['rate_eps']:.3f}")
-    print(f"pos={stats['pos']}")
-    print(f"neg={stats['neg']}")
-    print(f"max_per_pixel={stats['max_per_pixel']}")
-    print(f"geometry={rec.geometry.width}x{rec.geometry.height}")
+            pos += int(np.count_nonzero(chunk.p))
+            # Only the chunk's occupied pixels are touched: no sensor-sized temporary.
+            # A sensor has at most 65536 x 65536 pixels, so the ids fit 32 bits.
+            pixels, counts = np.unique(chunk.y.astype(np.uint32) * width + chunk.x,
+                                       return_counts=True)
+            per_pixel[pixels] += counts
+    duration = rec.last_t - rec.first_t + 1 if rec.count else 0
+    print(f"events={rec.count}")
+    print(f"duration_us={duration}")
+    print(f"rate_eps={rec.count / (duration / 1e6) if duration else 0.0:.3f}")
+    print(f"pos={pos}")
+    print(f"neg={rec.count - pos}")
+    print(f"max_per_pixel={per_pixel.max(initial=0)}")
+    print(f"geometry={width}x{rec.geometry.height}")
     return 0
 
 
@@ -275,7 +284,11 @@ def _read_index(frames_dir: Path) -> list[dict]:
         if entries and t0 < entries[-1]["t1"]:
             raise ParseError(lineno, f"window starts at t0={t0}, before the previous "
                                      f"window's t1={entries[-1]['t1']}")
-        entries.append({"file": fields["file"], "t0": t0, "t1": t1})
+        # A plain name, so every frame is read from inside frames_dir.
+        name = fields["file"]
+        if Path(name).name != name or name in ("", ".", ".."):
+            raise ParseError(lineno, f"file={name} is not a plain file name")
+        entries.append({"file": name, "t0": t0, "t1": t1})
     return entries
 
 

@@ -80,13 +80,16 @@ class EventStream:
         validate: bool = True,
     ):
         t = np.ascontiguousarray(t, dtype=np.int64)
-        x = np.ascontiguousarray(x, dtype=np.uint16)
-        y = np.ascontiguousarray(y, dtype=np.uint16)
-        p = np.ascontiguousarray(p, dtype=np.uint8)
+        x, y, p = np.asarray(x), np.asarray(y), np.asarray(p)
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise ValueError("event arrays must be 1-D and equal length")
         if validate:
-            _check_invariants(t, x, y, p, geometry)
+            # Checked as given, before the storage casts can wrap a value into range.
+            _check_invariants(t, *(v.view(v.dtype.str.replace("i", "u")) if v.dtype.kind == "i"
+                                   else v for v in (x, y, p)), geometry)
+        x = np.ascontiguousarray(x, dtype=np.uint16)
+        y = np.ascontiguousarray(y, dtype=np.uint16)
+        p = np.ascontiguousarray(p, dtype=np.uint8)
         for arr in (t, x, y, p):
             arr.flags.writeable = False
         self.geometry = geometry
@@ -147,9 +150,9 @@ def _check_invariants(t, x, y, p, geometry: SensorGeometry, origin: int = 0,
     Indices count from `offset`, and the first timestamp must not be below
     `origin`: a chunk of a recording passes the previous chunk's last
     timestamp, a whole stream the time origin 0, so a negative first
-    timestamp is non-monotone.  x, y and p must be unsigned; a caller with
-    signed values passes them as `.view(np.uint64)`, so a negative one fails
-    its upper bound at its index.
+    timestamp is non-monotone.  x, y and p must be unsigned; `EventStream`
+    views a signed column as the unsigned type of its width, so a negative
+    value fails its upper bound at its index.
     """
     n = t.shape[0]
     if n == 0:
@@ -178,16 +181,7 @@ def validate_stream(raw: Iterable[Event | tuple], geometry: SensorGeometry) -> E
     violating index via NonMonotoneTimestamp / OutOfBounds / BadPolarity.
     """
     rows = [(e.t, e.x, e.y, e.p) if isinstance(e, Event) else tuple(e) for e in raw]
-    if rows:
-        arr = np.asarray(rows, dtype=np.int64)
-        t, x, y, p = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-        # Check before the uint16 storage cast so negative or oversized
-        # coordinates cannot wrap into range.
-        _check_invariants(t, x.view(np.uint64), y.view(np.uint64), p.view(np.uint64),
-                          geometry)
-        return EventStream(geometry, t, x, y, p, validate=False)
-    empty = np.empty(0, dtype=np.int64)
-    return EventStream(geometry, empty, empty, empty, empty)
+    return EventStream(geometry, *np.asarray(rows, dtype=np.int64).reshape(len(rows), 4).T)
 
 
 @dataclass(frozen=True)

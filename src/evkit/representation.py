@@ -316,40 +316,3 @@ def check_finite(values: np.ndarray) -> None:
         if not finite.all():
             first = int(np.argmin(finite))
             raise NonFiniteValue(first, f"value {values.flat[first]} is not finite")
-
-
-class EventRateStats:
-    """The stats command's summary, accumulated over consecutive chunks of a stream."""
-
-    def __init__(self, geometry: SensorGeometry):
-        self.geometry = geometry
-        self.events = self.pos = 0
-        self.first_t = self.last_t = 0
-        self._per_pixel = None  # allocated with the first event
-
-    def add(self, chunk: EventStream) -> None:
-        if not len(chunk):
-            return
-        width, height = self.geometry.width, self.geometry.height
-        if self._per_pixel is None:
-            self.first_t = int(chunk.t[0])
-            self._per_pixel = np.zeros(width * height, dtype=np.int64)
-        self.last_t = int(chunk.t[-1])
-        self.events += len(chunk)
-        self.pos += int(np.count_nonzero(chunk.p))
-        # Only the chunk's occupied pixels are touched: no sensor-sized temporary.
-        # A sensor has at most 65536 x 65536 pixels, so the ids fit 32 bits.
-        pixels, counts = np.unique(chunk.y.astype(np.uint32) * width + chunk.x,
-                                   return_counts=True)
-        self._per_pixel[pixels] += counts
-
-    def summary(self) -> dict:
-        duration = self.last_t - self.first_t + 1 if self.events else 0
-        return {
-            "events": self.events,
-            "duration_us": duration,
-            "rate_eps": self.events / (duration / 1e6) if duration else 0.0,
-            "pos": self.pos,
-            "neg": self.events - self.pos,
-            "max_per_pixel": 0 if self._per_pixel is None else int(self._per_pixel.max()),
-        }

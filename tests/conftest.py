@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import tracemalloc
@@ -38,13 +39,22 @@ def make_stream(
 
 
 def traced_peak(fn, *args) -> int:
-    """The tracemalloc peak, in bytes, of calling fn(*args)."""
+    """The tracemalloc peak, in bytes, of calling fn(*args).
+
+    The cyclic collector is held off during the call, so the peak does not
+    depend on where an automatic collection happens to fall: reference cycles
+    the call leaves behind (a CLI command leaves about 50 KB, mostly its
+    argparse parser) count until it returns, never more or less by chance.
+    """
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
         fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
 
 
 @pytest.fixture

@@ -14,8 +14,8 @@ from evkit.augment import AugmentConfig, SampledAugmentation, apply_to_boxes
 from evkit.detmetrics import EvalConfig
 from evkit.errors import (BadPolarity, NonMonotoneTimestamp, OutOfBounds, ParseError,
                           ReservedByteSet)
-from evkit.event_core import (EventStream, SensorGeometry, TimeWindow, partition_windows,
-                              validate_stream)
+from evkit.event_core import (Event, EventStream, SensorGeometry, TimeWindow,
+                              partition_windows, validate_stream)
 from evkit.geometry import AffineTransform
 from evkit.representation import (EVF_HEADER_SIZE, FrameTensor, StackedHistogramConfig,
                                   evf_frame_size, read_evf, save_evf, save_stacked_histogram,
@@ -166,6 +166,31 @@ class TestConvert:
                   "--threads", "4"])
         assert tree_hash(out1) == tree_hash(out2)
 
+    def test_workers_start_at_most_one_per_window(self, tmp_path, monkeypatch):
+        rec = tmp_path / "rec.evs"
+        synth_recording(rec, n=200, duration_us=100_000)  # two 50 ms windows
+        cfgf = str(tiny_config(tmp_path / "cfg.ini"))
+        pools = []
+
+        class CountingPool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.max_workers, self.submits = max_workers, 0
+                pools.append(self)
+
+            def submit(self, *args, **kwargs):
+                self.submits += 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+        for threads in (1, 8):
+            assert cli.main(["convert", str(rec), "--output", str(tmp_path / f"o{threads}"),
+                             "--config", cfgf, "--threads", str(threads)]) == 0
+        # This thread and one helper: one per window.
+        assert [(pool.max_workers, pool.submits) for pool in pools] == [(1, 0), (1, 1)]
+        assert len(list((tmp_path / "o8").glob("frame_*.evf"))) == 2
+        assert tree_hash(tmp_path / "o1") == tree_hash(tmp_path / "o8")
+
     def test_workers_share_the_window_stream(self, tmp_path):
         # Four workers (more than the cores) pull 1,200 windows spanning three
         # chunks from one stream while threads switch every microsecond: every
@@ -261,6 +286,44 @@ class TestConvert:
 
 
 class TestStats:
+    @staticmethod
+    def stats(rec: Path, capsys) -> dict[str, str]:
+        assert cli.main(["stats", str(rec)]) == 0
+        return dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+
+    def test_empty(self, tmp_path, capsys):
+        rec = tmp_path / "rec.evs"
+        synth_recording(rec, n=0)
+        stats = self.stats(rec, capsys)
+        assert stats["events"] == "0" and stats["rate_eps"] == "0.000"
+        assert stats["duration_us"] == "0" and stats["max_per_pixel"] == "0"
+
+    def test_known_stream(self, tmp_path, capsys):
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(validate_stream(
+            [Event(0, 1, 1, 1), Event(500_000, 1, 1, 0), Event(999_999, 1, 1, 1)],
+            SensorGeometry(32, 24))))
+        stats = self.stats(rec, capsys)
+        assert stats["events"] == "3"
+        assert stats["duration_us"] == "1000000"
+        assert stats["rate_eps"] == "3.000"
+        assert stats["pos"] == "2" and stats["neg"] == "1"
+        assert stats["max_per_pixel"] == "3"
+
+    def test_chunks_sum_to_the_whole_stream(self, tmp_path, capsys, monkeypatch, rng):
+        s = make_stream(rng, 3_001, SensorGeometry(4, 3), 90_000)
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(s))
+        whole = self.stats(rec, capsys)
+        # Read as four chunks, the last of one event.
+        monkeypatch.setattr(codec, "CHUNK", 1_000)
+        assert self.stats(rec, capsys) == whole
+        assert whole["duration_us"] == str(int(s.t[-1]) - int(s.t[0]) + 1)
+        # The hottest pixel's count is only right if the table carries across chunks.
+        assert int(whole["max_per_pixel"]) > max(
+            np.bincount(s.y[lo:lo + 1_000].astype(np.int64) * 4 + s.x[lo:lo + 1_000]).max()
+            for lo in range(0, len(s), 1_000))
+
     def test_stats_output(self, tmp_path, capsys):
         rec = tmp_path / "rec.evs"
         synth_recording(rec, n=500)
@@ -676,6 +739,25 @@ class TestErrors:
                 cli._read_index(frames)
             assert exc.value.index == 4
 
+    def test_frame_outside_the_directory_is_parse_error(self, tmp_path, capsys):
+        # A valid frame in a sibling directory, named through the frames' index.
+        frames, other = tmp_path / "frames", tmp_path / "o"
+        frames.mkdir()
+        other.mkdir()
+        for d in (frames, other):
+            save_evf(d / "frame_000000.evf", FrameTensor(np.ones((2, 4, 6), dtype=np.uint16)))
+        for name in ("../o/frame_000000.evf", str(other / "frame_000000.evf")):
+            (frames / "index.txt").write_text(
+                "window=0 t0=0 t1=50000 file=frame_000000.evf\n"
+                f"window=1 t0=50000 t1=100000 file={name}\n")
+            rc = cli.main(["augment", str(frames), "--output", str(tmp_path / "aug")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith('error code=ParseError msg="at index 2 (')
+            assert "is not a plain file name" in err
+            assert not (tmp_path / "aug").exists()
+
     def test_missing_index_is_bad_header(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         frames.mkdir()
@@ -749,7 +831,7 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, callee", [("convert", "save_stacked_histogram"),
-                                                 ("stats", "EventRateStats")])
+                                                 ("stats", "read_recording")])
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, command, callee):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 32.0 GiB for an array with\n"

@@ -6,6 +6,7 @@ import pytest
 from evkit.errors import BadPolarity, NonMonotoneTimestamp, OutOfBounds, ZeroWindow
 from evkit.event_core import (
     Event,
+    EventStream,
     SensorGeometry,
     TimeWindow,
     partition_windows,
@@ -60,6 +61,21 @@ class TestValidation:
         with pytest.raises(error) as exc:
             validate_stream([Event(1, 0, 0, 1), event], GEN1)
         assert exc.value.index == 1
+
+    @pytest.mark.parametrize("geometry, column, value, dtype, error", [
+        (GEN1, "x", 65541, np.int64, OutOfBounds),  # 5 as uint16
+        (GEN1, "y", 65539, np.int64, OutOfBounds),  # 3 as uint16
+        (GEN1, "p", 256, np.int64, BadPolarity),  # 0 as uint8
+        (GEN1, "x", -1, np.int16, OutOfBounds),
+        (SensorGeometry(65536, 1), "x", -1, np.int32, OutOfBounds),  # 65535 as uint16
+    ], ids=["x-65541", "y-65539", "p-256", "int16-x-negative", "int32-x-negative-65536-wide"])
+    def test_columns_are_checked_before_the_storage_cast(self, geometry, column, value,
+                                                         dtype, error):
+        columns = {f: np.zeros(1, dtype) for f in "txyp"}
+        columns[column][0] = value
+        with pytest.raises(error) as exc:
+            EventStream(geometry, *columns.values())
+        assert exc.value.index == 0
 
     def test_negative_first_timestamp_rejected(self):
         with pytest.raises(NonMonotoneTimestamp):

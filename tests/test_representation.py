@@ -300,40 +300,3 @@ class TestEvfContainer:
         with pytest.raises(ValueError):
             rep.save_evf(tmp_path / "bad.evf",
                          rep.FrameTensor(np.zeros((1, 2, 2), dtype=np.float64)))
-
-
-class TestStats:
-    @staticmethod
-    def summary(*chunks, geometry=GEOM):
-        stats = rep.EventRateStats(geometry)
-        for chunk in chunks:
-            stats.add(chunk)
-        return stats.summary()
-
-    def test_empty(self):
-        stats = self.summary(validate_stream([], GEOM))
-        assert stats["events"] == 0 and stats["rate_eps"] == 0.0
-        assert stats["duration_us"] == 0 and stats["max_per_pixel"] == 0
-        assert self.summary() == stats
-
-    def test_known_stream(self):
-        s = validate_stream(
-            [Event(0, 1, 1, 1), Event(500_000, 1, 1, 0), Event(999_999, 1, 1, 1)], GEOM
-        )
-        stats = self.summary(s)
-        assert stats["events"] == 3
-        assert stats["duration_us"] == 1_000_000
-        assert stats["rate_eps"] == pytest.approx(3.0)
-        assert stats["pos"] == 2 and stats["neg"] == 1
-        assert stats["max_per_pixel"] == 3
-
-    def test_chunks_sum_to_the_whole_stream(self, rng):
-        s = make_stream(rng, 3_000, SensorGeometry(4, 3), 90_000)
-        cuts = [0, 700, 700, 1_900, 2_999, len(s)]  # one empty and one 1-event chunk
-        chunks = [s[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-        whole = self.summary(s, geometry=s.geometry)
-        assert self.summary(*chunks, geometry=s.geometry) == whole
-        assert whole["duration_us"] == int(s.t[-1]) - int(s.t[0]) + 1
-        # The hottest pixel's count is only right if the table carries across chunks.
-        assert whole["max_per_pixel"] > max(
-            np.bincount(c.y.astype(np.int64) * 4 + c.x).max() for c in chunks if len(c))
