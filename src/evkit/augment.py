@@ -80,6 +80,10 @@ class AugmentConfig:
         for name in ("rotate_deg", "translate_frac", "shear_deg", "min_box_area"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("rotate_deg", "translate_frac", "shear_deg"):
+            # Drawn with uniform(-m, m), which needs a finite high - low.
+            if not math.isfinite(2.0 * getattr(self, name)):
+                raise ValueError(f"2 * {name} must be finite, got {name} = {getattr(self, name)}")
 
     @classmethod
     def disabled(cls) -> "AugmentConfig":
@@ -151,8 +155,10 @@ def _draw_erasure(cfg: AugmentConfig, height: int, width: int,
     for _ in range(10):
         target = height * width * rng.uniform(*cfg.erase_area)
         ratio = math.exp(rng.uniform(log_lo, log_hi))
-        eh = int(round(math.sqrt(target * ratio)))
-        ew = int(round(math.sqrt(target / ratio)))
+        sides = math.sqrt(target * ratio), math.sqrt(target / ratio)
+        if not all(map(math.isfinite, sides)):
+            continue  # a failed try, like a side out of range
+        eh, ew = map(round, sides)
         if 0 < eh < height and 0 < ew < width:
             top = int(rng.integers(0, height - eh + 1))
             left = int(rng.integers(0, width - ew + 1))

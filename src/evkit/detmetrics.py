@@ -15,6 +15,7 @@ does.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -133,25 +134,18 @@ def _group_frames(
     preds: list[AnnotatedBox], gts: list[AnnotatedBox], tolerance_us: int
 ) -> list[tuple[list[AnnotatedBox], list[AnnotatedBox]]]:
     """Pair boxes into frames by timestamp; predictions snap to the nearest
-    ground-truth timestamp within the tolerance."""
+    ground-truth timestamp within the tolerance, the earlier on a tie."""
     gt_times = sorted({b.t for b in gts})
-    def snap(t: int) -> int:
-        if not gt_times or tolerance_us == 0:
-            return t
-        pos = np.searchsorted(gt_times, t)
-        best = t
-        best_gap = tolerance_us + 1
-        for cand in (gt_times[max(pos - 1, 0)], gt_times[min(pos, len(gt_times) - 1)]):
-            gap = abs(cand - t)
-            if gap <= tolerance_us and (gap < best_gap or (gap == best_gap and cand < best)):
-                best, best_gap = cand, gap
-        return best
-
+    snapped = {}
+    for t in {b.t for b in preds}:  # each distinct time once
+        pos = bisect.bisect_left(gt_times, t)
+        near = min(gt_times[max(pos - 1, 0):pos + 1], key=lambda c: abs(c - t), default=t)
+        snapped[t] = near if abs(near - t) <= tolerance_us else t
     frames: dict[int, tuple[list, list]] = {}
     for b in gts:
         frames.setdefault(b.t, ([], []))[1].append(b)
     for b in preds:
-        frames.setdefault(snap(b.t), ([], []))[0].append(b)
+        frames.setdefault(snapped[b.t], ([], []))[0].append(b)
     return [frames[t] for t in sorted(frames)]
 
 

@@ -66,6 +66,7 @@ class EventStream:
 
     Events are stored as parallel numpy arrays (t: int64, x/y: uint16,
     p: uint8) marked read-only; operations on streams are pure functions.
+    With `validate`, a column of a non-integer dtype is a ValueError.
     """
 
     __slots__ = ("geometry", "_t", "_x", "_y", "_p")
@@ -79,10 +80,14 @@ class EventStream:
         p: np.ndarray,
         validate: bool = True,
     ):
-        t = np.ascontiguousarray(t, dtype=np.int64)
-        x, y, p = np.asarray(x), np.asarray(y), np.asarray(p)
+        t, x, y, p = columns = [np.asarray(v) for v in (t, x, y, p)]
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise ValueError("event arrays must be 1-D and equal length")
+        # The casts below would truncate or wrap a non-integer value unseen.
+        if validate and any(v.dtype.kind not in "biu" for v in columns):
+            raise ValueError("event columns t, x, y, p must be integer, got "
+                             + ", ".join(v.dtype.name for v in columns))
+        t = np.ascontiguousarray(t, dtype=np.int64)
         if validate:
             # Checked as given, before the storage casts can wrap a value into range.
             _check_invariants(t, *(v.view(v.dtype.str.replace("i", "u")) if v.dtype.kind == "i"

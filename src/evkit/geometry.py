@@ -13,7 +13,7 @@ few fixed taps per axis, each a strided slice [first::factor] times a weight:
 
 `source_taps` turns the same taps around: for each source pixel, the output
 pixels it feeds and with what weight, the clamped edge reads folded in.
-`representation.stacked_histogram` scatters clipped counts through that
+`representation.save_stacked_histogram` scatters clipped counts through that
 table straight into the downscaled, padded layout.  Both builds give the
 same bytes: a count is at most 65535 and a weight is k/16 per axis, so every
 product and partial sum is a dyadic rational that float64 holds exactly, and
@@ -54,6 +54,8 @@ class AffineTransform:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (2, 3):
             raise ValueError(f"affine matrix must be 2x3, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"affine matrix {m.tolist()} is not finite")
         if abs(np.linalg.det(m[:, :2])) <= _DET_EPS:
             raise SingularTransform(f"linear part of {m.tolist()} is singular")
         m.flags.writeable = False
@@ -68,9 +70,8 @@ class AffineTransform:
         return cls(np.array([[1.0, 0.0, tx], [0.0, 1.0, ty]]))
 
     @classmethod
-    def scaling(cls, sx: float, sy: float | None = None) -> "AffineTransform":
-        sy = sx if sy is None else sy
-        return cls(np.array([[sx, 0.0, 0.0], [0.0, sy, 0.0]]))
+    def scaling(cls, s: float) -> "AffineTransform":
+        return cls(np.array([[s, 0.0, 0.0], [0.0, s, 0.0]]))
 
     @classmethod
     def rotation_deg(cls, angle: float) -> "AffineTransform":

@@ -10,19 +10,20 @@ Counts are 16-bit unsigned with saturating accumulation; 50 ms windows can
 exceed 255 events per pixel on fast motion, so 8-bit output is an explicit
 clip_limit export choice rather than the default.
 
-`stacked_histogram` also builds a window's downscaled, padded frame, one
-time bin at a time: it counts each bin's events per occupied cell with one
-sort and clips the counts.  At factor 1 the clipped counts go straight into
-the bin's two channels of the padded uint16 (2B, Hp, Wp) layout, so padding
-is only the output's row stride.  At factor > 1 each occupied
-full-resolution cell scatters count x tap weights into the bin's two
-channels of the downscaled, padded layout with one weighted bincount, and
-the sums are cast to float32 once.  Every term is a count of at most 65535
-times k/16 per axis, so float64 sums them exactly in any order and the
-result matches `geometry.downscale` then `pad_to_multiple` byte for byte.
-`save_stacked_histogram` writes the same EVF bytes with each bin's channels
-written at their file offsets and dropped, so no whole frame is held.  Cell
-ids are 32-bit unless the id space exceeds 2**32.
+`save_stacked_histogram` builds and writes a window's downscaled, padded
+frame, one time bin at a time: it counts each bin's events per occupied cell
+with one sort and clips the counts.  At factor 1 the clipped counts go
+straight into the bin's two channels of the padded uint16 (2B, Hp, Wp)
+layout, so padding is only the output's row stride.  At factor > 1 each
+occupied full-resolution cell scatters count x tap weights into the bin's
+two channels of the downscaled, padded layout with one weighted bincount,
+and the sums are cast to float32 once.  Every term is a count of at most
+65535 times k/16 per axis, so float64 sums them exactly in any order and
+the file matches `geometry.downscale` then `pad_to_multiple` byte for byte.
+Each bin's channels are written at their file offsets and dropped, so no
+whole frame is held.  `stacked_histogram` builds the full-resolution uint16
+frame from the same bins.  Cell ids are 32-bit unless the id space exceeds
+2**32.
 """
 
 from __future__ import annotations
@@ -95,33 +96,18 @@ class StackedHistogramConfig:
 
 
 def stacked_histogram(
-    stream: EventStream,
-    window: TimeWindow,
-    cfg: StackedHistogramConfig,
-    *,
-    factor: int = 1,
-    method: str = "bilinear",
-    pad_multiple: int = 1,
+    stream: EventStream, window: TimeWindow, cfg: StackedHistogramConfig
 ) -> FrameTensor:
     """Count events per (polarity, time bin, y, x) and flatten to (2B, H, W).
 
     Channel c = p*B + i.  Single pass over the events; with clip_limit unset
     the total count equals the number of events (saturation at 65535 aside).
-
-    `factor`, `method` and `pad_multiple` build the frame that
-    `pad_to_multiple(downscale(frame, factor, method), pad_multiple)` makes of
-    it, byte for byte, without the full-resolution frame.  The frame is
-    filled one time bin at a time: each bin's events are counted per cell
-    with one `np.unique` and clipped, then placed in the padded uint16
-    layout (factor 1) or scattered through `geometry.source_taps` into the
-    padded float32 layout (exact; see the geometry module).
-    `save_stacked_histogram` writes the same frame without holding it.
     """
-    (out_h, out_w), bins = _bin_channels(stream, window, cfg, factor, method, pad_multiple)
-    values = np.empty((2, cfg.n_bins, out_h, out_w), dtype=_frame_dtype(factor))
+    (height, width), bins = _bin_channels(stream, window, cfg, 1, "bilinear", 1)
+    values = np.empty((2, cfg.n_bins, height, width), dtype=np.uint16)
     for i, channels in enumerate(bins):
         values[:, i] = channels
-    return FrameTensor(values.reshape(2 * cfg.n_bins, out_h, out_w))
+    return FrameTensor(values.reshape(2 * cfg.n_bins, height, width))
 
 
 def save_stacked_histogram(
@@ -130,15 +116,18 @@ def save_stacked_histogram(
     window: TimeWindow,
     cfg: StackedHistogramConfig,
     *,
-    factor: int = 1,
-    method: str = "bilinear",
-    pad_multiple: int = 1,
+    factor: int,
+    method: str,
+    pad_multiple: int,
 ) -> None:
-    """Write `save_evf(path, stacked_histogram(...))`'s bytes one time bin at a time.
+    """Write a window's downscaled, padded frame to `path` as EVF.
 
-    The header goes first; each bin's two channels are then written at their
-    own offsets and dropped, so no whole frame is held.  The arguments are
-    checked before the file is created.
+    The bytes are those of `write_evf` of `pad_to_multiple(downscale(
+    stacked_histogram(stream, window, cfg), factor, method), pad_multiple)`,
+    with no `downscale` at factor 1, where the frame stays uint16.  The
+    header goes first; each time bin's two channels are then built, written
+    at their own offsets and dropped, so no whole frame is held.  The
+    arguments are checked before the file is created.
     """
     (out_h, out_w), bins = _bin_channels(stream, window, cfg, factor, method, pad_multiple)
     header, body_dtype = _evf_header(_frame_dtype(factor), (2 * cfg.n_bins, out_h, out_w))
@@ -222,7 +211,7 @@ def _padded(n: int, factor: int, pad_multiple: int) -> int:
 
 def evf_frame_size(geometry: SensorGeometry, cfg: StackedHistogramConfig, *,
                    factor: int = 1, pad_multiple: int = 1) -> int:
-    """Bytes of the EVF file of one `stacked_histogram` frame with these arguments."""
+    """Bytes of the EVF file that `save_stacked_histogram` writes with these arguments."""
     height, width = (_padded(n, factor, pad_multiple) for n in (geometry.height, geometry.width))
     return EVF_HEADER_SIZE + 2 * cfg.n_bins * height * width * _frame_dtype(factor).itemsize
 

@@ -243,17 +243,3 @@ def load_params(blob: bytes, manifest: str) -> ConvLSTMParams:
         return ConvLSTMParams(k, d, four_m // 4, w_x, w_h, bias, tensors.get("proj"))
     except ValueError as exc:
         raise ShapeMismatch(f"bad parameter shapes: {exc}") from exc
-
-
-def save_state(state: ConvLSTMState) -> tuple[bytes, str]:
-    return _save_tensors([("h", state.h), ("c", state.c)])
-
-
-def load_state(blob: bytes, manifest: str) -> ConvLSTMState:
-    tensors = _load_tensors(blob, manifest)
-    try:
-        return ConvLSTMState(tensors["h"], tensors["c"])
-    except KeyError as exc:
-        raise ParseError(0, f"manifest is missing tensor {exc}") from exc
-    except ValueError as exc:
-        raise ShapeMismatch(f"bad state shapes: {exc}") from exc

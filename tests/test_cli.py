@@ -18,8 +18,7 @@ from evkit.event_core import (Event, EventStream, SensorGeometry, TimeWindow,
                               partition_windows, validate_stream)
 from evkit.geometry import AffineTransform
 from evkit.representation import (EVF_HEADER_SIZE, FrameTensor, StackedHistogramConfig,
-                                  evf_frame_size, read_evf, save_evf, save_stacked_histogram,
-                                  stacked_histogram)
+                                  evf_frame_size, read_evf, save_evf, save_stacked_histogram)
 from evkit.sampler import parse_plan
 
 from conftest import make_stream, traced_peak
@@ -539,7 +538,9 @@ class TestChunkedInput:
         def build_window():
             events = EventStream(self.GEOMETRY, *(getattr(stream, f)[largest.start:largest.stop]
                                                   .copy() for f in "txyp"))
-            stacked_histogram(events, largest.window, cfg.hist, pad_multiple=cfg.pad_multiple)
+            save_stacked_histogram(tmp_path / "window.evf", events, largest.window, cfg.hist,
+                                   factor=cfg.downscale_factor, method=cfg.downscale_method,
+                                   pad_multiple=cfg.pad_multiple)
 
         window = traced_peak(build_window)
         # Above what reading a chunk takes (the stats peak), two threads hold
@@ -575,6 +576,28 @@ class TestAugmentCommand:
             assert (out / f"aug_{k:06d}.evf").read_bytes() == src.read_bytes()
         assert codec.read_annotations(out / "annotations.txt") == \
             codec.read_annotations(ann)
+
+    @pytest.mark.parametrize("key, value, ok", [
+        ("rotate_deg", "1e308", False),  # uniform(-m, m) needs a finite 2 * m
+        ("shear_deg", "1e308", False),
+        ("translate_frac", "1e308", False),
+        ("translate_frac", "8e307", False),  # drawable, but the shift in pixels is not finite
+        ("erase_area_max", "1e308", True),  # no erasure size fits, so none is drawn
+    ])
+    def test_extreme_magnitude_is_one_error_line_or_success(self, tmp_path, capsys,
+                                                            key, value, ok):
+        frames, ann, _ = self._converted(tmp_path)
+        every_stage = "".join(f"{stage}_p = 1\n" for stage in
+                              ("hflip", "rotate", "translate", "scale", "shear", "erase"))
+        cfgf = tiny_config(tmp_path / "extreme.ini", f"[augment]\n{every_stage}{key} = {value}\n")
+        capsys.readouterr()
+        rc = cli.main(["augment", str(frames), "--output", str(tmp_path / "aug"),
+                       "--annotations", str(ann), "--config", str(cfgf)])
+        err = capsys.readouterr().err
+        if ok:
+            assert (rc, err) == (0, "")
+        else:
+            assert rc == 1 and re.fullmatch('error code=ValueError msg="[^\n]*"\n', err), err
 
     def test_seeded_rerun_identical(self, tmp_path):
         frames, ann, cfgf = self._converted(tmp_path)

@@ -276,6 +276,11 @@ class TestEvaluate:
         assert strict.map == 0.0
         loose = evaluate_boxes(pred, gt, EvalConfig(time_tolerance_us=1_000))
         assert loose.map == 1.0
+        # Halfway between two frames, a prediction snaps to the earlier one,
+        # which holds its box; in the later one it would match nothing.
+        tie = evaluate_boxes(pred, gt + [box(t=50_800, x=100)],
+                             EvalConfig(time_tolerance_us=1_000))
+        assert tie.n_frames == 2 and tie.map > 0.5
 
     def test_declared_classes_restrict_evaluation(self, rng):
         gts = [box(cls=0), box(x=100, cls=1)]

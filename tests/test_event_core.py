@@ -77,6 +77,16 @@ class TestValidation:
             EventStream(geometry, *columns.values())
         assert exc.value.index == 0
 
+    @pytest.mark.parametrize("column", list("txyp"))
+    def test_non_integer_column_rejected(self, column):
+        columns = {f: np.zeros(2, np.int64) for f in "txyp"}
+        columns[column] = np.array([0.0, 0.5])
+        with pytest.raises(ValueError, match="must be integer"):
+            EventStream(GEN1, *columns.values())
+        # Unvalidated streams (decoder output, slices, window joins) are cast as before.
+        assert EventStream(GEN1, *columns.values(), validate=False) == \
+            EventStream(GEN1, *np.zeros((4, 2), np.int64))
+
     def test_negative_first_timestamp_rejected(self):
         with pytest.raises(NonMonotoneTimestamp):
             validate_stream([Event(-1, 0, 0, 1)], GEN1)

@@ -35,6 +35,11 @@ class TestAffine:
         with pytest.raises(SingularTransform):
             AffineTransform(np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            AffineTransform.translation(bad, 0.0)
+
     def test_about_center_fixes_center(self):
         rot = AffineTransform.rotation_deg(37.0).about(5.0, 7.0)
         assert np.allclose(rot.apply(np.array([[5.0, 7.0]])), [[5.0, 7.0]])

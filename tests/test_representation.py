@@ -79,7 +79,7 @@ class TestStackedHistogram:
         for geometry, n, clip_limit in cases:
             cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=1, clip_limit=clip_limit)
             s = EventStream(geometry, np.full(n, 10), np.full(n, 4), np.full(n, 5),
-                            np.ones(n))
+                            np.ones(n, dtype=np.uint8))
             f = rep.stacked_histogram(s, TimeWindow(0, 1_000), cfg)
             cap = rep.COUNT_MAX if clip_limit is None else clip_limit
             assert f.values[1, 5, 4] == cap
@@ -98,7 +98,7 @@ class TestStackedHistogram:
 
 
 class TestDownscaledPaddedLayout:
-    """factor/method/pad_multiple build what downscale and pad_to_multiple make."""
+    """The saver writes what downscale and pad_to_multiple make of the frame."""
 
     GEOMETRY = SensorGeometry(36, 24)  # divisible by 1-4; no pad of 7 divides it
 
@@ -117,57 +117,58 @@ class TestDownscaledPaddedLayout:
                 "empty": validate_stream([], g),
                 "saturated": EventStream(g, *hot)}
 
+    @staticmethod
+    def _expected(stream, window, cfg, factor, method, multiple) -> bytes:
+        frame = rep.stacked_histogram(stream, window, cfg)
+        if factor > 1:
+            frame = downscale(frame, factor, method)
+        return rep.write_evf(pad_to_multiple(frame, multiple)[0])
+
     @pytest.mark.parametrize("clip_limit", [None, 3])
     @pytest.mark.parametrize("factor", [1, 2, 3, 4])
     @pytest.mark.parametrize("method", sorted(EVEN_FACTOR_TAPS))
-    def test_matches_downscale_then_pad(self, rng, method, factor, clip_limit):
+    def test_matches_downscale_then_pad(self, rng, tmp_path, method, factor, clip_limit):
+        cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=4, clip_limit=clip_limit)
+        window = TimeWindow(0, 1_000)
+        path = tmp_path / "f.evf"
+        for name, stream in self._windows(rng).items():
+            for multiple in (1, 7):
+                rep.save_stacked_histogram(path, stream, window, cfg, factor=factor,
+                                           method=method, pad_multiple=multiple)
+                assert path.read_bytes() == self._expected(
+                    stream, window, cfg, factor, method, multiple), (name, multiple)
+
+    @pytest.mark.parametrize("clip_limit", [None, 3])
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    @pytest.mark.parametrize("method", sorted(EVEN_FACTOR_TAPS))
+    def test_saver_writes_the_frame_bytes(self, rng, tmp_path, method, factor, clip_limit):
+        # A pad wider than the frame's rows: the file equals save_evf of the oracle frame.
         cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=4, clip_limit=clip_limit)
         window = TimeWindow(0, 1_000)
         for name, stream in self._windows(rng).items():
             frame = rep.stacked_histogram(stream, window, cfg)
             if factor > 1:
                 frame = downscale(frame, factor, method)
-            for multiple in (1, 7):
-                expected, _ = pad_to_multiple(frame, multiple)
-                got = rep.stacked_histogram(stream, window, cfg, factor=factor,
-                                            method=method, pad_multiple=multiple)
-                assert got.values.dtype == expected.values.dtype, name
-                assert got.shape == expected.shape, name
-                assert got.values.tobytes() == expected.values.tobytes(), name
-
-    @pytest.mark.parametrize("clip_limit", [None, 3])
-    @pytest.mark.parametrize("factor", [1, 2, 3])
-    @pytest.mark.parametrize("method", sorted(EVEN_FACTOR_TAPS))
-    def test_saver_writes_the_frame_bytes(self, rng, tmp_path, method, factor, clip_limit):
-        cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=4, clip_limit=clip_limit)
-        window = TimeWindow(0, 1_000)
-        for name, stream in self._windows(rng).items():
-            for multiple in (1, 32):
-                kwargs = dict(factor=factor, method=method, pad_multiple=multiple)
-                rep.save_evf(tmp_path / "frame.evf",
-                             rep.stacked_histogram(stream, window, cfg, **kwargs))
-                rep.save_stacked_histogram(tmp_path / "bins.evf", stream, window, cfg, **kwargs)
-                assert ((tmp_path / "bins.evf").read_bytes()
-                        == (tmp_path / "frame.evf").read_bytes()), (name, multiple)
+            rep.save_evf(tmp_path / "frame.evf", pad_to_multiple(frame, 32)[0])
+            rep.save_stacked_histogram(tmp_path / "bins.evf", stream, window, cfg,
+                                       factor=factor, method=method, pad_multiple=32)
+            assert ((tmp_path / "bins.evf").read_bytes()
+                    == (tmp_path / "frame.evf").read_bytes()), name
 
     @pytest.mark.parametrize("factor", [1, 2, 3])
     def test_events_on_bin_edges_of_a_later_window(self, tmp_path, factor):
-        # Downscaled frames are built one time bin at a time; each event on
-        # either side of an edge must land in its own bin.
+        # Frames are built one time bin at a time; each event on either side
+        # of an edge must land in its own bin.
         g = self.GEOMETRY
         cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=4)
         window = TimeWindow(7_000, 8_000)
         t = np.repeat(7_000 + np.array([0, 249, 250, 499, 500, 749, 750, 999]), 3)
         k = np.arange(t.size)
         stream = EventStream(g, t, (5 * k) % g.width, (7 * k) % g.height, k % 2)
-        frame = rep.stacked_histogram(stream, window, cfg)
-        if factor > 1:
-            frame = downscale(frame, factor, "bilinear")
-        got = rep.stacked_histogram(stream, window, cfg, factor=factor, pad_multiple=5)
-        assert got.values.tobytes() == pad_to_multiple(frame, 5)[0].values.tobytes()
         rep.save_stacked_histogram(tmp_path / "f.evf", stream, window, cfg, factor=factor,
-                                   pad_multiple=5)
-        assert (tmp_path / "f.evf").read_bytes() == rep.write_evf(got)
+                                   method="bilinear", pad_multiple=5)
+        assert (tmp_path / "f.evf").read_bytes() == self._expected(
+            stream, window, cfg, factor, "bilinear", 5)
 
     @pytest.mark.parametrize("window, kwargs, error", [
         (TimeWindow(0, 1_000), {}, EventOutsideWindow),  # the event is at t=1_500
@@ -181,23 +182,26 @@ class TestDownscaledPaddedLayout:
         stream = validate_stream([Event(1_500, 3, 4, 1)], self.GEOMETRY)
         path = tmp_path / "f.evf"
         with pytest.raises(error):
-            rep.save_stacked_histogram(path, stream, window, cfg, **kwargs)
+            rep.save_stacked_histogram(path, stream, window, cfg, **{
+                "factor": 1, "method": "bilinear", "pad_multiple": 1, **kwargs})
         assert not path.exists()
 
-    def test_bad_arguments(self):
+    def test_bad_arguments(self, tmp_path):
         cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=1)
         s = validate_stream([], GEOM)  # 32x24
         window = TimeWindow(0, 1_000)
-        with pytest.raises(NotDivisible):
-            rep.stacked_histogram(s, window, cfg, factor=5)
-        with pytest.raises(ValueError):
-            rep.stacked_histogram(s, window, cfg, factor=0)
-        with pytest.raises(ValueError):
-            rep.stacked_histogram(s, window, cfg, factor=2, method="area")
-        with pytest.raises(ValueError):
-            rep.stacked_histogram(s, window, cfg, method="area")
-        with pytest.raises(ValueError):
-            rep.stacked_histogram(s, window, cfg, pad_multiple=0)
+        path = tmp_path / "f.evf"
+        for kwargs, error in [({"factor": 5}, NotDivisible),
+                              ({"factor": 0}, ValueError),
+                              ({"factor": 2, "method": "area"}, ValueError),
+                              ({"method": "area"}, ValueError),
+                              ({"pad_multiple": 0}, ValueError)]:
+            with pytest.raises(error):
+                rep.save_stacked_histogram(path, s, window, cfg, **{
+                    "factor": 1, "method": "bilinear", "pad_multiple": 1, **kwargs})
+            assert not path.exists(), kwargs
+        with pytest.raises(TypeError):  # resampled frames are built only by the saver
+            rep.stacked_histogram(s, window, cfg, factor=2)
 
 
 class TestHistogram2d:

@@ -12,10 +12,8 @@ from evkit.temporal import (
     convlstm_step,
     init_state,
     load_params,
-    load_state,
     residual_update,
     save_params,
-    save_state,
 )
 
 from oracles import direct_conv2d_same, scalar_lstm_step
@@ -214,36 +212,23 @@ class TestParamsIO:
         assert again.proj is None
         assert np.array_equal(again.w_h, params.w_h)
 
-    def test_state_roundtrip(self, rng):
-        state = ConvLSTMState(
-            rng.normal(size=(4, 5, 6)).astype(np.float32).astype(np.float64),
-            rng.normal(size=(4, 5, 6)).astype(np.float32).astype(np.float64),
-        )
-        blob, manifest = save_state(state)
-        again = load_state(blob, manifest)
-        assert np.array_equal(again.h, state.h)
-        assert np.array_equal(again.c, state.c)
-
     def test_bad_shapes_are_shape_mismatch(self):
         blob, manifest = save_params(ConvLSTMParams.zeros(2, 2, 1))
         for bad in (manifest.replace("w_x 8 2 1 1", "w_x 8 2"),
                     manifest.replace("w_h 8 2 1 1", "w_h 4 4 1 1")):
             with pytest.raises(ShapeMismatch):
                 load_params(blob, bad)
-        blob, manifest = save_state(ConvLSTMState(np.zeros((2, 3, 4)), np.zeros((2, 3, 4))))
-        with pytest.raises(ShapeMismatch):
-            load_state(blob, manifest.replace("c 2 3 4", "c 2 4 3"))
 
     @pytest.mark.parametrize("line, lineno", [
-        ("h -2 -1", 1),  # negative dimensions with a positive product
-        ("h -1", 1),
-        ("c 2 3 4", 2),  # the second "c" is the repeat
-        ("h 0 99999999999999999999", 1),  # empty, but too large for numpy
+        ("w_x -2 -1", 1),  # negative dimensions with a positive product
+        ("w_x -1", 1),
+        ("w_h 8 2 1 1", 2),  # the second "w_h" is the repeat
+        ("w_x 0 99999999999999999999", 1),  # empty, but too large for numpy
     ])
     def test_bad_manifest_line_is_parse_error(self, line, lineno):
-        blob, manifest = save_state(ConvLSTMState(np.zeros((2, 3, 4)), np.zeros((2, 3, 4))))
+        blob, manifest = save_params(ConvLSTMParams.zeros(2, 2, 1))
         with pytest.raises(ParseError) as exc:
-            load_state(blob, manifest.replace("h 2 3 4", line))
+            load_params(blob, manifest.replace("w_x 8 2 1 1", line))
         assert exc.value.index == lineno
 
     def test_truncated_blob_rejected(self):
