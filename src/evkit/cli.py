@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import shutil
@@ -178,14 +179,15 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
     boxes = codec.read_annotations(args.annotations) if args.annotations else []
     out_dir = Path(args.output)
     with read_recording(args.input, cfg.geometry) as rec:
-        windows, n_windows = iter(()), 0
-        if rec.first_t is not None:
-            n_windows = window_count(rec.first_t, rec.last_t, cfg.hist.t_frame, args.t_start)
-            _check_space(out_dir, n_windows, evf_frame_size(
-                rec.geometry, cfg.hist, factor=cfg.downscale_factor,
-                pad_multiple=cfg.pad_multiple))
-            windows = stream_windows(rec.chunks(), cfg.hist.t_frame, rec.first_t,
-                                     rec.last_t, args.t_start)
+        n_windows = 0 if rec.first_t is None else window_count(
+            rec.first_t, rec.last_t, cfg.hist.t_frame, args.t_start)
+        _check_space(out_dir, n_windows, evf_frame_size(
+            rec.geometry, cfg.hist, factor=cfg.downscale_factor, pad_multiple=cfg.pad_multiple))
+        windows = stream_windows(rec.chunks(), cfg.hist.t_frame, args.t_start)
+        # Write no more frames than the space check counted.  Only a recording
+        # whose last record is not its latest event has more windows, and
+        # reading on past them reaches its NonMonotoneTimestamp.
+        counted = itertools.islice(windows, n_windows)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.annotations:
             scaled = map_boxes(boxes, 1.0 / cfg.downscale_factor)
@@ -199,7 +201,7 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
             # window is read, joined and counted by one thread.
             while True:
                 with lock:
-                    w, events = next(windows, (None, None))
+                    w, events = next(counted, (None, None))
                     if w is None or (args.drop_partial and w.partial):
                         return
                     k = len(written)
@@ -218,6 +220,8 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
             work()
             for future in helpers:
                 future.result()
+        for _ in windows:
+            pass
     # Boxes are sorted by time, so each window's boxes are one id range.
     box_t = np.array([b.t for b in boxes], dtype=np.int64)
     box_ranges = np.searchsorted(box_t, [(w.window.t0, w.window.t1) for w in written])

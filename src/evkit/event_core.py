@@ -225,31 +225,29 @@ def window_count(first_t: int, last_t: int, t_frame: int, t_start: int = 0) -> i
 
 
 def stream_windows(
-    chunks: Iterable[EventStream], t_frame: int, first_t: int, last_t: int,
-    t_start: int = 0,
+    chunks: Iterable[EventStream], t_frame: int, t_start: int = 0,
 ) -> Iterator[tuple[WindowSlice, EventStream]]:
     """Partition a stream, given as consecutive chunks, into t_frame windows.
 
-    `first_t` and `last_t` are the stream's first and last timestamps.  Each
-    window of `window_count(first_t, last_t, t_frame, t_start)` is yielded with
-    its events as soon as a later event, or the end of the stream, closes it;
-    the pieces of the chunks it spans are joined once and released before the
-    yield.  Events after the window holding last_t, which a monotone stream
-    does not have, are never held.  Chunks must share one geometry, and a
-    chunk starting before the previous one's last timestamp raises
-    NonMonotoneTimestamp at its first event's index in the stream.
+    Windows run from t_start through the one holding the stream's last event,
+    as `window_count` counts them from the first and last timestamps seen.
+    Each is yielded with its events as soon as a later event, or the end of
+    the stream, closes it; the pieces of the chunks it spans are joined once
+    and released before the yield.  A window closed by a later event is
+    covered, so only the last window can be partial.  The window-count checks
+    (t_start after the first event, window edges beyond int64) run as each
+    chunk arrives, so a later chunk can raise after earlier windows were
+    yielded.  An empty stream has no windows.  Chunks must share one
+    geometry, and a chunk starting before the previous one's last timestamp
+    raises NonMonotoneTimestamp at its first event's index in the stream.
     """
-    n_windows = window_count(first_t, last_t, t_frame, t_start)
     pieces: list[EventStream] = []
     k = seen = 0
-    geometry = prev_t = None
+    geometry = first_t = last_t = None
 
-    def close(stop: int) -> tuple[WindowSlice, EventStream]:
+    def close(stop: int, partial: bool = False) -> tuple[WindowSlice, EventStream]:
         nonlocal k
         t0 = t_start + k * t_frame
-        # Data extent [t_start, last_t + 1) only partially covers the last
-        # window unless it ends exactly on the window edge.
-        partial = k == n_windows - 1 and last_t + 1 < t0 + t_frame
         # Each piece was checked with its chunk, and each chunk's first
         # timestamp and geometry against the chunk before, so the join is not.
         events = pieces[0] if len(pieces) == 1 else EventStream(
@@ -264,26 +262,27 @@ def stream_windows(
             continue
         t = chunk.t
         if geometry is None:
-            geometry = chunk.geometry
+            geometry, first_t = chunk.geometry, int(t[0])
         elif chunk.geometry != geometry:
             raise ValueError(f"chunk geometry {chunk.geometry} differs from {geometry}")
-        elif t[0] < prev_t:
+        elif t[0] < last_t:
             raise NonMonotoneTimestamp(seen)
-        prev_t = t[-1]
+        last_t = int(t[-1])
         # The window of the chunk's last event may go on in the next chunk;
         # every window before it is complete.
-        last = min((int(t[-1]) - t_start) // t_frame, n_windows - 1)
+        last = window_count(first_t, last_t, t_frame, t_start) - 1
         ends = np.searchsorted(t, t_start + t_frame * np.arange(k + 1, last + 2, dtype=np.int64))
         lo = 0
         for stop in ends[:-1].tolist():
             pieces.append(chunk[lo:stop])
             yield close(seen + stop)
             lo = stop
-        if ends.size:
-            pieces.append(chunk[lo:int(ends[-1])])
+        pieces.append(chunk[lo:])
         seen += len(chunk)
-    if k < n_windows:
-        yield close(seen)
+    if last_t is not None:
+        # Data extent [t_start, last_t + 1) only partially covers the last
+        # window unless it ends exactly on the window edge.
+        yield close(seen, last_t + 1 < t_start + (k + 1) * t_frame)
 
 
 def partition_windows(
@@ -296,10 +295,7 @@ def partition_windows(
     defaults to 0 rather than the first event so frame indices are stable
     across runs; pass t_start for recordings with offset clocks.
     """
-    # An empty stream spans no time: a last_t before t_start gives it no windows.
-    first_t, last_t = ((int(stream.t[0]), int(stream.t[-1])) if len(stream)
-                       else (t_start, t_start - 1))
-    return [w for w, _ in stream_windows([stream], t_frame, first_t, last_t, t_start)]
+    return [w for w, _ in stream_windows([stream], t_frame, t_start)]
 
 
 def slice_window(stream: EventStream, window: TimeWindow) -> EventStream:

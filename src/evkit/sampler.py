@@ -1,16 +1,18 @@
 """Recurrent-training batch schedule over indexed frame sequences.
 
 Each batch mixes two kinds of clips: random clips (uniform sequence and
-start, memory always reset) and sequential clips (per-slot cursors advancing
-through a shuffled queue of sequences, memory reset only at each sequence
-start).  Clips are a fixed length L; sequences whose remainder is shorter
-than L are front-aligned and right-padded, with the pad frame count recorded
-on the entry so consumers can mask them.
+start, memory always reset) and sequential clips (each slot a generator
+that pops sequences from one shared shuffled queue and yields their clips,
+memory reset only at each sequence start).  Clips are a fixed length L;
+sequences whose remainder is shorter than L are front-aligned and
+right-padded, with the pad frame count recorded on the entry so consumers
+can mask them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -38,7 +40,7 @@ class SequenceIndex:
 @dataclass(frozen=True)
 class ClipEntry:
     """One scheduled clip.  seq_id None marks an idle slot (all padding,
-    emitted when a sequential cursor has exhausted the epoch's sequences
+    emitted when a sequential slot has exhausted the epoch's sequences
     while others are still running)."""
 
     seq_id: str | None
@@ -70,7 +72,8 @@ def plan_epoch(
     Random entries draw (sequence, start) uniformly with replacement and
     always reset memory.  Sequential slots consume a per-epoch random
     permutation of the sequences, resetting memory exactly at sequence
-    starts; the epoch ends when every sequential cursor is exhausted.
+    starts; the epoch ends when every sequential slot is exhausted, or with
+    no sequential slot after ceil(total clips / n_random) batches.
     """
     if not indices:
         raise EmptyDataset("no sequences to plan over")
@@ -82,42 +85,38 @@ def plan_epoch(
 
     queue = [indices[i] for i in rng.permutation(len(indices))]
     queue.reverse()  # pop() from the tail
-    cursors: list[dict] = [{"seq": None, "pos": 0} for _ in range(n_sequential)]
-
-    if n_sequential == 0:
-        total_clips = sum(-(-ix.n_frames // clip_len) for ix in indices)
-        n_batches = -(-total_clips // n_random)
-        return [
-            [_random_entry(indices, clip_len, slot, rng) for slot in range(n_random)]
-            for _ in range(n_batches)
-        ]
+    slots = [_sequential_slot(queue, clip_len, n_random + i) for i in range(n_sequential)]
+    n_clips = sum(-(-ix.n_frames // clip_len) for ix in indices)
 
     batches: list[Batch] = []
     while True:
-        for cur in cursors:
-            if cur["seq"] is None or cur["pos"] >= cur["seq"].n_frames:
-                cur["seq"] = queue.pop() if queue else None
-                cur["pos"] = 0
-        if all(cur["seq"] is None for cur in cursors):
-            break
+        # Slots pop sequences in slot order and draw no random numbers.
+        sequential = [next(slot, None) for slot in slots]
+        if slots:
+            done = all(e is None for e in sequential)
+        else:  # a random-only epoch holds as many clips as the sequences cut into
+            done = len(batches) * n_random >= n_clips
+        if done:
+            return batches
         batch: Batch = [
             _random_entry(indices, clip_len, slot, rng) for slot in range(n_random)
         ]
-        for i, cur in enumerate(cursors):
-            slot = n_random + i
-            seq = cur["seq"]
-            if seq is None:
-                batch.append(ClipEntry(None, 0, clip_len, True, slot, pad=clip_len))
-                continue
-            pos = cur["pos"]
-            pad = max(0, clip_len - (seq.n_frames - pos))
-            batch.append(
-                ClipEntry(seq.seq_id, pos, clip_len, reset_memory=pos == 0,
-                          slot=slot, pad=pad)
-            )
-            cur["pos"] = pos + clip_len
+        for slot, entry in enumerate(sequential, start=n_random):
+            batch.append(entry or ClipEntry(None, 0, clip_len, True, slot, pad=clip_len))
         batches.append(batch)
-    return batches
+
+
+def _sequential_slot(
+    queue: list[SequenceIndex], clip_len: int, slot: int
+) -> Iterator[ClipEntry]:
+    """Clips of each sequence this slot pops from the shared queue, in order;
+    memory resets at each sequence start."""
+    while queue:
+        seq = queue.pop()
+        for pos in range(0, seq.n_frames, clip_len):
+            pad = max(0, clip_len - (seq.n_frames - pos))
+            yield ClipEntry(seq.seq_id, pos, clip_len, reset_memory=pos == 0,
+                            slot=slot, pad=pad)
 
 
 def _random_entry(

@@ -186,7 +186,11 @@ def residual_update(
 # --- flat parameter blob + manifest -----------------------------------------------
 
 
-def _save_tensors(named: list[tuple[str, np.ndarray]]) -> tuple[bytes, str]:
+def save_params(params: ConvLSTMParams) -> tuple[bytes, str]:
+    """A flat little-endian float32 blob and its `name dim ...` manifest lines."""
+    named = [("w_x", params.w_x), ("w_h", params.w_h), ("bias", params.bias)]
+    if params.proj is not None:
+        named.append(("proj", params.proj))
     blob = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in named)
     manifest = "".join(
         " ".join([name] + [str(d) for d in a.shape]) + "\n" for name, a in named
@@ -194,7 +198,8 @@ def _save_tensors(named: list[tuple[str, np.ndarray]]) -> tuple[bytes, str]:
     return blob, manifest
 
 
-def _load_tensors(blob: bytes, manifest: str) -> dict[str, np.ndarray]:
+def load_params(blob: bytes, manifest: str) -> ConvLSTMParams:
+    """Inverse of `save_params`; manifest tensors may come in any order."""
     tensors: dict[str, np.ndarray] = {}
     offset = 0
     for lineno, line in enumerate(manifest.splitlines(), start=1):
@@ -222,18 +227,6 @@ def _load_tensors(blob: bytes, manifest: str) -> dict[str, np.ndarray]:
         offset += nbytes
     if offset != len(blob):
         raise TruncatedFile(f"{len(blob) - offset} trailing bytes after last tensor")
-    return tensors
-
-
-def save_params(params: ConvLSTMParams) -> tuple[bytes, str]:
-    named = [("w_x", params.w_x), ("w_h", params.w_h), ("bias", params.bias)]
-    if params.proj is not None:
-        named.append(("proj", params.proj))
-    return _save_tensors(named)
-
-
-def load_params(blob: bytes, manifest: str) -> ConvLSTMParams:
-    tensors = _load_tensors(blob, manifest)
     try:
         w_x, w_h, bias = tensors["w_x"], tensors["w_h"], tensors["bias"]
     except KeyError as exc:

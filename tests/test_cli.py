@@ -155,6 +155,17 @@ class TestConvert:
         out = capsys.readouterr().out
         assert "rate_eps=" in out and "events=1000" in out
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_empty_recording_converts_to_no_windows(self, tmp_path, capsys, threads):
+        rec = tmp_path / "rec.evs"
+        synth_recording(rec, n=0)
+        out = tmp_path / "out"
+        assert cli.main(["convert", str(rec), "--output", str(out), "--threads", str(threads),
+                         "--config", str(tiny_config(tmp_path / "cfg.ini"))]) == 0
+        assert "converted windows=0 events=0 " in capsys.readouterr().out
+        assert (out / "index.txt").read_text() == ""
+        assert not list(out.glob("frame_*.evf"))
+
     def test_threads_give_identical_output(self, tmp_path):
         rec = tmp_path / "rec.evs"
         synth_recording(rec)
@@ -451,6 +462,9 @@ class TestChunkedInput:
             assert rc == 1
             assert re.fullmatch(rf'error code=NonMonotoneTimestamp msg="at index {codec.CHUNK}'
                                 rf'\b.*\n', err)
+        # The last record wraps to t=9, so the space check counted one window;
+        # the ~86,000 windows before the first event at 2**32 - CHUNK are not written.
+        assert len(list((tmp_path / "out").glob("frame_*.evf"))) <= 1
 
     def test_header_and_first_chunk_faults_leave_nothing(self, tmp_path, capsys):
         stream = make_stream(np.random.default_rng(7), 1_000, self.GEOMETRY, 1_000_000)

@@ -186,27 +186,51 @@ class TestPartition:
 class TestStreamWindows:
     def test_chunked_windows_match_whole_stream(self, rng):
         s = make_stream(rng, 3_000, GEN1, 1_000_000)
-        first_t, last_t = int(s.t[0]), int(s.t[-1])
-        for size in (1, 7, 1_000, 3_000):
-            chunks = [s[lo:lo + size] for lo in range(0, len(s), size)]
-            out = list(stream_windows(chunks, 50_000, first_t, last_t))
+        splits = [[s[lo:lo + size] for lo in range(0, len(s), size)]
+                  for size in (1, 7, 1_000, 3_000)]
+        # Empty chunks first, in the middle and last.
+        empty = s[:0]
+        splits.append([empty, s[:1_234], empty, empty, s[1_234:2_000], s[2_000:], empty])
+        for chunks in splits:
+            out = list(stream_windows(chunks, 50_000))
             assert [w for w, _ in out] == partition_windows(s, 50_000)
             for w, events in out:
                 assert events == s[w.start:w.stop]
                 assert not events.t.flags.writeable
 
+    @pytest.mark.parametrize("last_t, partial", [(99_999, False), (70_000, True)])
+    def test_last_window_across_chunks_partial_flag(self, last_t, partial):
+        # The last window [50000, 100000) starts in chunk a and ends in chunk b.
+        a = validate_stream([(0, 0, 0, 1), (60_000, 1, 1, 0)], GEN1)
+        b = validate_stream([(last_t, 2, 2, 1)], GEN1)
+        out = list(stream_windows([a, b], 50_000))
+        assert [(w.window, w.partial) for w, _ in out] == [
+            (TimeWindow(0, 50_000), False), (TimeWindow(50_000, 100_000), partial)]
+        assert out[-1][1].t.tolist() == [60_000, last_t]
+
+    def test_later_chunk_past_int64_raises_after_earlier_windows(self):
+        # Chunk a's windows end at 2 * t_frame; chunk b's third window would
+        # end at 9 * 2**60, past the int64 maximum.
+        t_frame = 3 * 2**60
+        a = validate_stream([(0, 0, 0, 1), (t_frame + 1, 1, 1, 0)], GEN1)
+        b = validate_stream([(2 * t_frame + 5, 2, 2, 1)], GEN1)
+        windows = stream_windows([a, b], t_frame)
+        assert next(windows)[0].window == TimeWindow(0, t_frame)
+        with pytest.raises(ValueError, match="int64"):
+            next(windows)
+
     def test_chunk_starting_before_previous_end_rejected(self):
         a = validate_stream([(10, 0, 0, 1), (20, 1, 1, 0)], GEN1)
         b = validate_stream([(15, 2, 2, 1), (30, 3, 3, 0)], GEN1)
         with pytest.raises(NonMonotoneTimestamp) as exc:
-            list(stream_windows([a, b], 100, 10, 30))
+            list(stream_windows([a, b], 100))
         assert exc.value.index == 2
 
     def test_chunks_of_two_geometries_rejected(self):
         a = validate_stream([(10, 0, 0, 1)], GEN1)
         b = validate_stream([(20, 0, 0, 1)], SensorGeometry(32, 24))
         with pytest.raises(ValueError):
-            list(stream_windows([a, b], 100, 10, 20))
+            list(stream_windows([a, b], 100))
 
 
 class TestSliceWindow:
