@@ -33,6 +33,7 @@ from .errors import BadHeader, EvkitError, InsufficientSpace, ParseError
 from .event_core import SensorGeometry, WindowSlice, stream_windows, window_count
 from .geometry import EVEN_FACTOR_TAPS, map_boxes
 from .representation import (
+    EVF_MAX_CHANNELS,
     StackedHistogramConfig,
     evf_frame_size,
     read_evf,
@@ -63,9 +64,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.downscale_method not in EVEN_FACTOR_TAPS:
             raise ValueError(f"unknown downscale_method {self.downscale_method!r}")
-        if self.geometry.height % self.downscale_factor or \
-                self.geometry.width % self.downscale_factor:
-            raise ValueError("preset geometry must be divisible by the downscale factor")
+        if 2 * self.hist.n_bins > EVF_MAX_CHANNELS:  # two channels per bin
+            raise ValueError(f"n_bins must be <= {EVF_MAX_CHANNELS // 2}, got {self.hist.n_bins}")
 
 
 PRESETS = {

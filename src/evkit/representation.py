@@ -33,11 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadHeader, BadMagic, EventOutsideWindow, NonFiniteValue, TruncatedFile
+from .errors import (BadHeader, BadMagic, EventOutsideWindow, NonFiniteValue, NotDivisible,
+                     TruncatedFile)
 from .event_core import EventStream, SensorGeometry, TimeWindow
 
 EVF_MAGIC = b"EVF1"
-EVF_HEADER_SIZE = 16
+EVF_HEADER_DTYPE = np.dtype([("magic", "S4"), ("code", "u1"), ("pad", "u1"), ("c", "<u2"),
+                             ("height", "<u4"), ("width", "<u4")])
+EVF_HEADER_SIZE = EVF_HEADER_DTYPE.itemsize  # 16 bytes
+EVF_MAX_CHANNELS = np.iinfo(EVF_HEADER_DTYPE["c"]).max  # 65535
 _EVF_DTYPES = {1: np.dtype("<u2"), 2: np.dtype("<f4")}
 _EVF_CODES = {np.dtype(np.uint16): 1, np.dtype(np.float32): 2}
 
@@ -205,6 +209,8 @@ def _bin_channels(stream: EventStream, window: TimeWindow, cfg: StackedHistogram
 
 def _padded(n: int, factor: int, pad_multiple: int) -> int:
     """Length of an n-cell axis downscaled by `factor` and padded to `pad_multiple`."""
+    if n % factor:
+        raise NotDivisible(f"size {n} not divisible by {factor}")
     n //= factor
     return n + -n % pad_multiple
 
@@ -241,14 +247,11 @@ def _evf_header(dtype: np.dtype, shape: tuple[int, int, int]) -> tuple[bytes, np
     if code is None:
         raise ValueError(f"EVF stores uint16 or float32, not {dtype}")
     c, height, width = shape
-    header = (
-        EVF_MAGIC
-        + bytes([code, 0])
-        + int(c).to_bytes(2, "little")
-        + int(height).to_bytes(4, "little")
-        + int(width).to_bytes(4, "little")
-    )
-    return header, _EVF_DTYPES[code]
+    # NumPy before 2.0 would wrap an out-of-range C with only a warning.
+    if c > EVF_MAX_CHANNELS:
+        raise ValueError(f"EVF holds at most {EVF_MAX_CHANNELS} channels, got {c}")
+    header = np.array((EVF_MAGIC, code, 0, c, height, width), dtype=EVF_HEADER_DTYPE)
+    return header.tobytes(), _EVF_DTYPES[code]
 
 
 def _evf_parts(frame: FrameTensor) -> tuple[bytes, np.ndarray]:
@@ -278,12 +281,10 @@ def read_evf(data: bytes) -> FrameTensor:
         raise BadMagic(f"expected {EVF_MAGIC!r}")
     if len(data) < EVF_HEADER_SIZE:
         raise TruncatedFile(f"EVF header is {EVF_HEADER_SIZE} bytes, got {len(data)}")
-    code = data[4]
+    # Python ints, so the size arithmetic below cannot wrap.
+    _, code, _, c, height, width = np.frombuffer(data, EVF_HEADER_DTYPE, 1)[0].tolist()
     if code not in _EVF_DTYPES:
         raise BadHeader(f"unknown dtype code {code}")
-    c = int.from_bytes(data[6:8], "little")
-    height = int.from_bytes(data[8:12], "little")
-    width = int.from_bytes(data[12:16], "little")
     if 0 in (c, height, width):
         raise BadHeader(f"frame shape ({c}, {height}, {width}) has a zero dimension")
     dtype = _EVF_DTYPES[code]

@@ -117,6 +117,66 @@ class TestConvert:
             assert frame.shape == (20, 384, 640)
             assert frame.values.dtype == np.float32
 
+    def test_indivisible_recording_fails_before_output(self, tmp_path, capsys):
+        # gen4-like downscales by 2; the recording's own 303x240 is what must divide.
+        geometry = SensorGeometry(303, 240)
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(
+            make_stream(np.random.default_rng(4), 1_000, geometry, 100_000)))
+        ann = tmp_path / "b.txt"
+        synth_annotations(ann, duration_us=100_000, geometry=geometry)
+        out = tmp_path / "out"
+        rc, err = run_cli(["convert", str(rec), "--output", str(out), "--preset", "gen4-like",
+                           "--annotations", str(ann)], capsys)
+        assert rc == 1
+        assert re.fullmatch(r'error code=NotDivisible msg="[^\n]*"\n', err)
+        assert not out.exists()
+
+    # Events of the flag tests: windows [0, 50000), [50000, 100000), [100000, 150000).
+    FLAG_EVENTS = (7_000, 20_000, 60_000, 130_000)
+
+    def convert_with(self, tmp_path, capsys, *flags):
+        """Convert FLAG_EVENTS with tiny_config and `flags`: the exit code, stderr,
+        the output directory and its index entries (None without an index)."""
+        n = len(self.FLAG_EVENTS)
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(EventStream(
+            SensorGeometry(32, 24), self.FLAG_EVENTS, np.arange(n), np.arange(n),
+            np.arange(n) % 2)))
+        out = tmp_path / "out"
+        rc, err = run_cli(["convert", str(rec), "--output", str(out),
+                           "--config", str(tiny_config(tmp_path / "cfg.ini")), *flags], capsys)
+        index = out / "index.txt"
+        entries = ([codec.parse_fields(line, lineno, ()) for lineno, line
+                    in codec.read_lines(index)] if index.exists() else None)
+        return rc, err, out, entries
+
+    def test_only_the_last_window_is_partial(self, tmp_path, capsys):
+        rc, _, _, entries = self.convert_with(tmp_path, capsys)
+        assert rc == 0
+        assert [(e["t0"], e["partial"]) for e in entries] == [
+            ("0", "0"), ("50000", "0"), ("100000", "1")]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_drop_partial_drops_the_last_window(self, tmp_path, capsys, threads):
+        rc, _, out, entries = self.convert_with(tmp_path, capsys, "--drop-partial",
+                                                "--threads", threads)
+        assert rc == 0
+        assert [(e["window"], e["partial"]) for e in entries] == [("0", "0"), ("1", "0")]
+        assert sorted(p.name for p in out.glob("frame_*.evf")) == [
+            "frame_000000.evf", "frame_000001.evf"]
+
+    def test_t_start_moves_the_window_origin(self, tmp_path, capsys):
+        rc, _, _, entries = self.convert_with(tmp_path, capsys, "--t-start", "7000")
+        assert rc == 0
+        assert [e["t0"] for e in entries] == ["7000", "57000", "107000"]
+
+    def test_t_start_after_the_first_event_fails_before_output(self, tmp_path, capsys):
+        rc, err, out, _ = self.convert_with(tmp_path, capsys, "--t-start", "7001")
+        assert rc == 1
+        assert re.fullmatch(r'error code=ValueError msg="[^\n]*"\n', err)
+        assert not out.exists()
+
     def test_annotations_rescaled_and_indexed(self, tmp_path):
         geometry = SensorGeometry(1280, 720)
         stream = make_stream(np.random.default_rng(3), 2_000, geometry, 100_000)
@@ -981,6 +1041,7 @@ class TestConfig:
         "[histogram]\nt_frame = 20000\n",             # misspelt key
         "[histogram]\nt_frame_us = 0\n",
         "[histogram]\nn_bins = 0\n",
+        "[histogram]\nt_frame_us = 32768\nn_bins = 32768\n",  # 65536 EVF channels
         "downscale_method = area\n",
         "downscale_factor = 0\n",
         "pad_multiple = 0\n",
@@ -1007,6 +1068,11 @@ class TestConfig:
         assert err.count("\n") == 1
         assert err.startswith("error code=")
         assert not out.exists()
+
+    def test_n_bins_up_to_the_evf_channel_limit_loads(self, tmp_path):
+        path = tiny_config(tmp_path / "cfg.ini",
+                           "[histogram]\nt_frame_us = 32767\nn_bins = 32767\n")
+        assert cli.load_config(str(path)).hist.n_bins == 32767
 
     @pytest.mark.parametrize("text, lineno", [
         ("preset = gen1-like\n", 1),                   # no section header

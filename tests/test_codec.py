@@ -55,6 +55,11 @@ class TestEvs:
         assert blob[32] == 1
         assert blob[33] == 0
 
+    def test_header_layout(self, rng):
+        blob = codec.encode_evs(make_stream(rng, 3, GEN1, 100))
+        assert codec.EVS_HEADER_SIZE == 20
+        assert blob[:20] == struct.pack("<4sIIQ", b"EVS1", 304, 240, 3)
+
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
             codec.decode_evs(b"XXXX" + bytes(16))

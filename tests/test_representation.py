@@ -252,12 +252,22 @@ class TestEvfContainer:
     def test_header_layout(self):
         frame = rep.FrameTensor(np.zeros((20, 384, 640), dtype=np.uint16))
         blob = rep.write_evf(frame)
+        assert rep.EVF_HEADER_SIZE == 16
         assert blob[:4] == b"EVF1"
         assert blob[4] == 1
+        assert blob[5] == 0
         assert int.from_bytes(blob[6:8], "little") == 20
         assert int.from_bytes(blob[8:12], "little") == 384
         assert int.from_bytes(blob[12:16], "little") == 640
         assert len(blob) == 16 + 20 * 384 * 640 * 2
+
+    def test_channel_count_beyond_u16_rejected_before_the_file(self, tmp_path):
+        path = tmp_path / "wide.evf"
+        with pytest.raises(ValueError, match="65535 channels"):
+            rep.save_evf(path, rep.FrameTensor(np.zeros((65536, 1, 1), dtype=np.uint16)))
+        assert not path.exists()
+        rep.save_evf(path, rep.FrameTensor(np.zeros((65535, 1, 1), dtype=np.uint16)))
+        assert rep.read_evf(path.read_bytes()).shape == (65535, 1, 1)
 
     def test_bad_magic_and_truncation(self):
         with pytest.raises(BadMagic):
