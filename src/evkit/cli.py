@@ -174,6 +174,12 @@ def _check_space(out_dir: Path, n_frames: int, frame_size: int) -> None:
             f"but {probe} has {free} free")
 
 
+def _box_ranges(boxes: list[codec.AnnotatedBox], spans: list[tuple[int, int]]) -> np.ndarray:
+    """The [lo, hi) range of box ids in each [t0, t1) span; boxes are sorted by time."""
+    box_t = np.array([b.t for b in boxes], dtype=np.int64)
+    return np.searchsorted(box_t, spans)
+
+
 def cmd_convert(args, cfg: PipelineConfig) -> int:
     t_begin = time.perf_counter()
     boxes = codec.read_annotations(args.annotations) if args.annotations else []
@@ -222,9 +228,7 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
                 future.result()
         for _ in windows:
             pass
-    # Boxes are sorted by time, so each window's boxes are one id range.
-    box_t = np.array([b.t for b in boxes], dtype=np.int64)
-    box_ranges = np.searchsorted(box_t, [(w.window.t0, w.window.t1) for w in written])
+    box_ranges = _box_ranges(boxes, [(w.window.t0, w.window.t1) for w in written])
     (out_dir / "index.txt").write_text("".join(
         f"window={k} t0={w.window.t0} t1={w.window.t1} file={_frame_name(k)} "
         f"partial={int(w.partial)} events={w.stop - w.start} "
@@ -308,9 +312,7 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
     boxes = codec.read_annotations(args.annotations) if args.annotations else []
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Boxes are sorted by time, so each frame's boxes are one slice.
-    box_t = np.array([b.t for b in boxes], dtype=np.int64)
-    box_ranges = np.searchsorted(box_t, [(e["t0"], e["t1"]) for e in entries])
+    box_ranges = _box_ranges(boxes, [(e["t0"], e["t1"]) for e in entries])
 
     clip_len = 1 if args.mode == "frame" else cfg.clip_len
     starts = range(0, len(entries), clip_len)

@@ -353,10 +353,8 @@ _ANN_KEYS = ("t", "x", "y", "w", "h", "class", "score", "track")
 
 def format_box(box: AnnotatedBox) -> str:
     track = "-" if box.track_id is None else str(box.track_id)
-    return (
-        f"t={box.t} x={box.x!r} y={box.y!r} w={box.w!r} h={box.h!r} "
-        f"class={box.class_id} score={box.score!r} track={track}"
-    )
+    x, y, w, h, score = (repr(float(v)) for v in (box.x, box.y, box.w, box.h, box.score))
+    return f"t={box.t} x={x} y={y} w={w} h={h} class={box.class_id} score={score} track={track}"
 
 
 def parse_fields(line: str, lineno: int, required: Sequence[str]) -> dict[str, str]:

@@ -2,12 +2,13 @@
 
 Timestamps are integer microseconds everywhere; no floating-point time is
 used in core types, so a 60-second recording accumulates zero drift.
-All types are immutable after construction and safe to share across threads.
+All types are frozen dataclasses, so no field can be reassigned, and
+`EventStream`'s columns are read-only; all are safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -61,26 +62,25 @@ class TimeWindow:
         return self.t1 - self.t0
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class EventStream:
     """Validated, time-ordered event sequence bound to a sensor geometry.
 
     Events are stored as parallel numpy arrays (t: int64, x/y: uint16,
     p: uint8) marked read-only; operations on streams are pure functions.
-    With `validate`, a column of a non-integer dtype is a ValueError.
+    With `validate`, a column of a non-integer dtype is a ValueError.  No
+    field can be reassigned; `dataclasses.replace` revalidates by default.
     """
 
-    __slots__ = ("geometry", "_t", "_x", "_y", "_p")
+    geometry: SensorGeometry
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
+    validate: InitVar[bool] = True
 
-    def __init__(
-        self,
-        geometry: SensorGeometry,
-        t: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        p: np.ndarray,
-        validate: bool = True,
-    ):
-        t, x, y, p = columns = [np.asarray(v) for v in (t, x, y, p)]
+    def __post_init__(self, validate: bool):
+        t, x, y, p = columns = [np.asarray(v) for v in (self.t, self.x, self.y, self.p)]
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise ValueError("event arrays must be 1-D and equal length")
         # The casts below would truncate or wrap a non-integer value unseen.
@@ -91,40 +91,23 @@ class EventStream:
         if validate:
             # Checked as given, before the storage casts can wrap a value into range.
             _check_invariants(t, *(v.view(v.dtype.str.replace("i", "u")) if v.dtype.kind == "i"
-                                   else v for v in (x, y, p)), geometry)
+                                   else v for v in (x, y, p)), self.geometry)
         x = np.ascontiguousarray(x, dtype=np.uint16)
         y = np.ascontiguousarray(y, dtype=np.uint16)
         p = np.ascontiguousarray(p, dtype=np.uint8)
-        for arr in (t, x, y, p):
+        for name, arr in zip("txyp", (t, x, y, p)):
             arr.flags.writeable = False
-        self.geometry = geometry
-        self._t, self._x, self._y, self._p = t, x, y, p
-
-    @property
-    def t(self) -> np.ndarray:
-        return self._t
-
-    @property
-    def x(self) -> np.ndarray:
-        return self._x
-
-    @property
-    def y(self) -> np.ndarray:
-        return self._y
-
-    @property
-    def p(self) -> np.ndarray:
-        return self._p
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return self._t.shape[0]
+        return self.t.shape[0]
 
     def __getitem__(self, i: int | slice) -> Event | EventStream:
         if isinstance(i, slice):
             # Only a reversing step can break the time order.
-            return EventStream(self.geometry, self._t[i], self._x[i], self._y[i],
-                               self._p[i], validate=(i.step or 1) < 0)
-        return Event(int(self._t[i]), int(self._x[i]), int(self._y[i]), int(self._p[i]))
+            return EventStream(self.geometry, self.t[i], self.x[i], self.y[i],
+                               self.p[i], validate=(i.step or 1) < 0)
+        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
 
     def __iter__(self) -> Iterator[Event]:
         for i in range(len(self)):
@@ -135,10 +118,10 @@ class EventStream:
             return NotImplemented
         return (
             self.geometry == other.geometry
-            and np.array_equal(self._t, other._t)
-            and np.array_equal(self._x, other._x)
-            and np.array_equal(self._y, other._y)
-            and np.array_equal(self._p, other._p)
+            and np.array_equal(self.t, other.t)
+            and np.array_equal(self.x, other.x)
+            and np.array_equal(self.y, other.y)
+            and np.array_equal(self.p, other.p)
         )
 
     def __repr__(self) -> str:

@@ -282,9 +282,11 @@ def read_evf(data: bytes) -> FrameTensor:
     if len(data) < EVF_HEADER_SIZE:
         raise TruncatedFile(f"EVF header is {EVF_HEADER_SIZE} bytes, got {len(data)}")
     # Python ints, so the size arithmetic below cannot wrap.
-    _, code, _, c, height, width = np.frombuffer(data, EVF_HEADER_DTYPE, 1)[0].tolist()
+    _, code, pad, c, height, width = np.frombuffer(data, EVF_HEADER_DTYPE, 1)[0].tolist()
     if code not in _EVF_DTYPES:
         raise BadHeader(f"unknown dtype code {code}")
+    if pad != 0:
+        raise BadHeader(f"pad byte is {pad}, expected 0")
     if 0 in (c, height, width):
         raise BadHeader(f"frame shape ({c}, {height}, {width}) has a zero dimension")
     dtype = _EVF_DTYPES[code]

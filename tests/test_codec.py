@@ -275,6 +275,15 @@ class TestAnnotations:
         codec.write_annotations(path, boxes)
         assert codec.read_annotations(path) == sorted(boxes, key=lambda b: b.t)
 
+    def test_numpy_scalar_fields_roundtrip(self, tmp_path):
+        # numpy >= 2 reprs a scalar as np.float64(1.5), which the reader rejects.
+        box = codec.AnnotatedBox(t=5, x=np.float64(1.5), y=2.0, w=np.float32(3.25), h=4.0,
+                                 class_id=0, score=np.float64(0.5))
+        path = tmp_path / "ann.txt"
+        codec.write_annotations(path, [box])
+        assert path.read_text() == "t=5 x=1.5 y=2.0 w=3.25 h=4.0 class=0 score=0.5 track=-\n"
+        assert codec.read_annotations(path) == [box]
+
     def test_track_id_preserved(self, tmp_path):
         box = codec.AnnotatedBox(t=1, x=1, y=1, w=2, h=2, class_id=1, score=0.5,
                                  track_id=-7)

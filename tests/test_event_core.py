@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,8 +99,28 @@ class TestValidation:
 
     def test_arrays_are_read_only(self):
         s = validate_stream([Event(1, 2, 3, 1)], GEN1)
-        with pytest.raises(ValueError):
-            s.t[0] = 0
+        for f in "txyp":
+            with pytest.raises(ValueError):
+                getattr(s, f)[0] = 0
+
+    def test_fields_cannot_be_reassigned(self, rng):
+        geometry = SensorGeometry(4, 4)
+        s = make_stream(rng, 10, geometry, 100)
+        t = s.t
+        # A smaller geometry would leave the events outside it.
+        with pytest.raises(AttributeError):
+            s.geometry = SensorGeometry(1, 1)
+        with pytest.raises(AttributeError):
+            s.t = np.zeros(10, np.int64)
+        assert s.geometry == geometry and s.t is t
+
+    def test_replace_revalidates(self, rng):
+        s = make_stream(rng, 10, GEN1, 100)
+        x = s.x.copy()
+        x[3] = GEN1.width
+        with pytest.raises(OutOfBounds) as exc:
+            dataclasses.replace(s, x=x)
+        assert exc.value.index == 3
 
 
 class TestPartition:
@@ -263,6 +285,12 @@ class TestSliceWindow:
         assert s[::3] == validate_stream([(e.t, e.x, e.y, e.p) for e in s][::3], GEN1)
         with pytest.raises(NonMonotoneTimestamp):
             s[::-1]
+
+    def test_forward_slice_shares_memory(self, rng):
+        s = make_stream(rng, 100, GEN1, 1_000)
+        part = s[10:60]
+        for f in "txyp":
+            assert np.shares_memory(getattr(part, f), getattr(s, f))
 
     def test_order_preserved_with_ties(self):
         s = validate_stream(

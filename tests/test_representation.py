@@ -261,6 +261,13 @@ class TestEvfContainer:
         assert int.from_bytes(blob[12:16], "little") == 640
         assert len(blob) == 16 + 20 * 384 * 640 * 2
 
+    def test_set_pad_byte_rejected(self, rng):
+        blob = rep.write_evf(rep.FrameTensor(
+            rng.integers(0, 2**16, (2, 3, 4)).astype(np.uint16)))
+        with pytest.raises(BadHeader, match="pad byte is 7"):
+            rep.read_evf(blob[:5] + b"\x07" + blob[6:])
+        assert rep.write_evf(rep.read_evf(blob)) == blob
+
     def test_channel_count_beyond_u16_rejected_before_the_file(self, tmp_path):
         path = tmp_path / "wide.evf"
         with pytest.raises(ValueError, match="65535 channels"):
