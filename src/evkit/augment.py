@@ -15,15 +15,16 @@ one-frame clip reproduces frame-mode sampling exactly.  `augment_clip`
 yields each frame as it is augmented, so a clip costs O(frame) memory, not
 O(clip length x frame).
 
-The warp samples bilinearly through a tap table: the output pixels that have
-a tap inside the frame, and each of their four taps' source pixel and
-weight.  `augment_clip` builds one table per clip, with its geometric draw,
-and warps every frame through it.  Output pixels with no in-bounds tap are
-exactly 0; they read nothing from the source.
+The warp samples bilinearly from a pixel-major copy of the input with a
+one-pixel zero border, so a tap outside the frame reads 0.  Its tap table
+holds the output pixels with a tap inside the frame, and for each the
+bordered index of its tap (0, 0) and the two fractions of its sampling
+point.  `augment_clip` builds one table per clip and warps every frame
+through it.  Every other output pixel is exactly 0.
 
-A warped frame costs its float32 output, one pixel-major copy of the input
-and fixed buffers of BLOCK output pixels: the table is built, and the taps
-summed, BLOCK pixels at a time.
+A warped frame costs its float32 output, the bordered copy and fixed buffers
+of BLOCK output pixels: the table is built, and the taps summed, BLOCK
+pixels at a time.
 """
 
 from __future__ import annotations
@@ -179,12 +180,13 @@ def sample_augmentation(
 
 
 class _WarpTaps(NamedTuple):
-    """A draw's bilinear tap table: the output pixels that read the source,
-    and each tap's source pixel and weight over them."""
+    """A draw's bilinear tap table over the zero-bordered source: the output
+    pixels that read it, and where each one samples it."""
 
-    kept: np.ndarray    # (n,) flat output pixels with a nonzero-weight tap
-    index: np.ndarray   # (4, n) flat source pixel of each tap, clamped into the frame
-    weight: np.ndarray  # (4, n, 1) float64 weight of each tap, 0 outside the frame
+    kept: np.ndarray  # (n,) flat output pixels with a tap inside the frame
+    base: np.ndarray  # (n,) flat bordered source pixel of tap (0, 0)
+    fx: np.ndarray    # (n, 1) float64 fractional column of the sampling point
+    fy: np.ndarray    # (n, 1) float64 fractional row of the sampling point
 
 
 def _warp_taps(aug: SampledAugmentation) -> _WarpTaps:
@@ -197,25 +199,13 @@ def _warp_taps(aug: SampledAugmentation) -> _WarpTaps:
         pixel = np.arange(top * width, min(top + rows, height) * width)
         centers = np.column_stack([pixel % width + 0.5, pixel // width + 0.5])
         sx, sy = (inverse.apply(centers) - 0.5).T
-        x0 = np.floor(sx).astype(np.int64)
-        y0 = np.floor(sy).astype(np.int64)
-        fx, fy = sx - x0, sy - y0
-        # Per offset d of 0 or 1: the tap's weight factor, whether it is
-        # inside the frame, and its clamped column or row start.
-        wx, wy = (1.0 - fx, fx), (1.0 - fy, fy)
-        in_x = [(x0 >= -d) & (x0 < width - d) for d in (0, 1)]
-        in_y = [(y0 >= -d) & (y0 < height - d) for d in (0, 1)]
-        col = [np.clip(x0 + d, 0, width - 1) for d in (0, 1)]
-        row = [np.clip(y0 + d, 0, height - 1) * width for d in (0, 1)]
-        index = np.empty((4, pixel.size), dtype=np.int64)
-        weight = np.empty((4, pixel.size))
-        for k, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            weight[k] = wx[dx] * wy[dy] * (in_x[dx] & in_y[dy])
-            index[k] = row[dy] + col[dx]
-        keep = np.flatnonzero(weight.any(axis=0))
-        parts.append((pixel[keep], index[:, keep], weight[:, keep]))
-    kept, index, weight = (np.concatenate(p, axis=-1) for p in zip(*parts))
-    return _WarpTaps(kept, index, weight[:, :, None])
+        # Tested on the floats, so a NaN or far-off position is never cast.
+        keep = np.flatnonzero((sx >= -1) & (sx < width) & (sy >= -1) & (sy < height))
+        sx, sy = sx[keep], sy[keep]
+        x0, y0 = np.floor(sx), np.floor(sy)
+        base = ((y0 + 1) * (width + 2) + x0 + 1).astype(np.int64)
+        parts.append((pixel[keep], base, (sx - x0)[:, None], (sy - y0)[:, None]))
+    return _WarpTaps(*map(np.concatenate, zip(*parts)))
 
 
 def apply_to_frame(
@@ -227,8 +217,7 @@ def apply_to_frame(
     warped frames are float32.  A float frame holding NaN or inf raises
     NonFiniteValue at its first such flat index.  `taps` is the draw's tap
     table, which `augment_clip` builds once per clip; without it the table is
-    built here.  Only output pixels with a tap inside the frame read the
-    source; every other output pixel is 0.
+    built here.
     """
     if frame.height != aug.height or frame.width != aug.width:
         raise ShapeMismatch(
@@ -250,11 +239,12 @@ def apply_to_frame(
 
 def _warp_bilinear(values: np.ndarray, taps: _WarpTaps) -> np.ndarray:
     c, height, width = values.shape
-    # Pixel-major, so each tap reads one run of c values.  Taps are gathered
-    # in the frame's dtype; the float64 weight promotes each product exactly
-    # as a float64 copy of the frame would.  A pixel outside `taps.kept` would
-    # only add finite source x 0.0 terms to its +0.0 start, which stays +0.0.
-    source = np.ascontiguousarray(values.reshape(c, height * width).T)
+    # Pixel-major with a one-pixel zero border: each tap reads one run of c
+    # values, and a tap outside the frame reads 0.  Taps are gathered in the
+    # frame's dtype; the float64 weight promotes each product exactly as a
+    # float64 copy of the frame would.
+    source = np.pad(values.transpose(1, 2, 0), ((1, 1), (1, 1), (0, 0))).reshape(-1, c)
+    offsets = (0, 1, width + 2, width + 3)  # taps (0, 0), (0, 1), (1, 0), (1, 1)
     out = np.zeros((c, height * width), dtype=np.float32)
     gather = np.empty((BLOCK, c), dtype=source.dtype)
     term = np.empty((BLOCK, c))
@@ -262,12 +252,15 @@ def _warp_bilinear(values: np.ndarray, taps: _WarpTaps) -> np.ndarray:
     for lo in range(0, taps.kept.size, BLOCK):
         hi = min(lo + BLOCK, taps.kept.size)
         m = hi - lo
+        fx, fy = taps.fx[lo:hi], taps.fy[lo:hi]
+        gx, gy = 1.0 - fx, 1.0 - fy
         acc[:m] = 0.0
-        for index, weight in zip(taps.index, taps.weight):
-            # Indices are clamped into the frame, so mode="clip" changes no
-            # tap; unlike the default it writes straight into the buffer.
-            np.take(source, index[lo:hi], axis=0, out=gather[:m], mode="clip")
-            np.multiply(gather[:m], weight[lo:hi], out=term[:m])
+        for offset, weight in zip(offsets, (gx * gy, fx * gy, gx * fy, fx * fy)):
+            # source[offset + i] is row i of the view source[offset:].  Every
+            # tap is inside the bordered source, so mode="clip" changes none;
+            # unlike the default it writes straight into the buffer.
+            np.take(source[offset:], taps.base[lo:hi], axis=0, out=gather[:m], mode="clip")
+            np.multiply(gather[:m], weight, out=term[:m])
             acc[:m] += term[:m]
         out[:, taps.kept[lo:hi]] = acc[:m].T
     return out.reshape(c, height, width)
@@ -294,16 +287,19 @@ def apply_to_boxes(
     corners = np.stack([x0, y0, x1, y0, x0, y1, x1, y1], axis=1).reshape(-1, 2)
     warped = aug.transform.apply(corners).reshape(-1, 4, 2)
     lo, hi = warped.min(axis=1), warped.max(axis=1)
-    hull_area = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
     size = np.array([float(aug.width), float(aug.height)])
     # np.where, not np.maximum: np.maximum(-0.0, 0.0) is 0.0, where Python's
     # max(v, 0.0) and min(v, size) keep the corner's own signed zero.
     clipped_lo = np.where(0.0 > lo, 0.0, lo)
     clipped_hi = np.where(size < hi, size, hi)
     extent = clipped_hi - clipped_lo
-    clipped_area = extent[:, 0] * extent[:, 1]
-    kept = ~((clipped_hi <= clipped_lo).any(axis=1) | (clipped_area < min_area)
-             | (clipped_area < min_visibility * hull_area))
+    # An area past float64 is inf: an empty clip is dropped anyway, and a clip
+    # of an infinite hull is under any min_visibility > 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        hull_area = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
+        clipped_area = extent[:, 0] * extent[:, 1]
+        kept = ~((clipped_hi <= clipped_lo).any(axis=1) | (clipped_area < min_area)
+                 | (clipped_area < min_visibility * hull_area))
     return [replace(boxes[i], x=x, y=y, w=ew, h=eh) for i, x, y, ew, eh in zip(
         np.flatnonzero(kept).tolist(), *clipped_lo[kept].T.tolist(), *extent[kept].T.tolist())]
 

@@ -329,15 +329,13 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
         for frame, fb, aug in augmod.augment_clip(frames, clip_boxes, cfg.augment, rng):
             if k == first:
                 affine = ",".join(repr(float(v)) for v in aug.transform.matrix.ravel())
+                tx, ty = aug.translate_px or (None, None)
+                shear_x, shear_y = aug.shear_deg or (None, None)
                 log_lines.append(
                     f"clip={c} frames={len(clip)} hflip={int(aug.hflip)} "
-                    f"angle={_format_opt(aug.angle_deg)} "
-                    f"tx={_format_opt(aug.translate_px[0] if aug.translate_px else None)} "
-                    f"ty={_format_opt(aug.translate_px[1] if aug.translate_px else None)} "
-                    f"scale={_format_opt(aug.scale)} "
-                    f"shear_x={_format_opt(aug.shear_deg[0] if aug.shear_deg else None)} "
-                    f"shear_y={_format_opt(aug.shear_deg[1] if aug.shear_deg else None)} "
-                    f"affine={affine}"
+                    f"angle={_format_opt(aug.angle_deg)} tx={_format_opt(tx)} ty={_format_opt(ty)} "
+                    f"scale={_format_opt(aug.scale)} shear_x={_format_opt(shear_x)} "
+                    f"shear_y={_format_opt(shear_y)} affine={affine}"
                 )
             erase = "-" if aug.erasure is None else ",".join(str(v) for v in aug.erasure)
             log_lines.append(f"clip={c} frame={k} erase={erase}")

@@ -120,12 +120,9 @@ class AnnotatedBox:
 
 
 def encode_evs(stream: EventStream) -> bytes:
-    records = np.empty(len(stream), dtype=EVS_RECORD_DTYPE)
-    records["t"] = stream.t
-    records["x"] = stream.x
-    records["y"] = stream.y
-    records["p"] = stream.p
-    records["reserved"] = 0
+    records = np.zeros(len(stream), dtype=EVS_RECORD_DTYPE)  # reserved bytes are 0
+    for f in "txyp":
+        records[f] = getattr(stream, f)
     header = np.array((EVS_MAGIC, stream.geometry.width, stream.geometry.height, len(stream)),
                       dtype=EVS_HEADER_DTYPE)
     return header.tobytes() + records.tobytes()

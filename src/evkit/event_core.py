@@ -69,7 +69,7 @@ class EventStream:
     Events are stored as parallel numpy arrays (t: int64, x/y: uint16,
     p: uint8) marked read-only; operations on streams are pure functions.
     With `validate`, a column of a non-integer dtype is a ValueError.  No
-    field can be reassigned; `dataclasses.replace` revalidates by default.
+    field can be reassigned; `dataclasses.replace`, pickle and deepcopy revalidate.
     """
 
     geometry: SensorGeometry
@@ -99,6 +99,9 @@ class EventStream:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    def __reduce__(self):  # pickle and deepcopy rebuild through __init__, which revalidates
+        return EventStream, (self.geometry, self.t, self.x, self.y, self.p)
+
     def __len__(self) -> int:
         return self.t.shape[0]
 
@@ -116,13 +119,8 @@ class EventStream:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
-        return (
-            self.geometry == other.geometry
-            and np.array_equal(self.t, other.t)
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.p, other.p)
-        )
+        return self.geometry == other.geometry and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in "txyp")
 
     def __repr__(self) -> str:
         return (

@@ -56,10 +56,15 @@ class AffineTransform:
             raise ValueError(f"affine matrix must be 2x3, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError(f"affine matrix {m.tolist()} is not finite")
-        if abs(np.linalg.det(m[:, :2])) <= _DET_EPS:
+        with np.errstate(over="ignore"):  # a determinant past float64 is inf: not singular
+            det = np.linalg.det(m[:, :2])
+        if abs(det) <= _DET_EPS:
             raise SingularTransform(f"linear part of {m.tolist()} is singular")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    def __reduce__(self):  # rebuilt through __init__, so a load revalidates
+        return AffineTransform, (self.matrix,)
 
     @classmethod
     def identity(cls) -> "AffineTransform":
@@ -93,7 +98,8 @@ class AffineTransform:
         """self after inner: (self @ inner)(p) = self(inner(p))."""
         a = np.vstack([self.matrix, [0.0, 0.0, 1.0]])
         b = np.vstack([inner.matrix, [0.0, 0.0, 1.0]])
-        return AffineTransform((a @ b)[:2])
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product is rejected
+            return AffineTransform((a @ b)[:2])
 
     def about(self, cx: float, cy: float) -> "AffineTransform":
         """Conjugate by the center: translate(-c), self, translate(+c)."""

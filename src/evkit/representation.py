@@ -63,6 +63,9 @@ class FrameTensor:
             raise ValueError(f"expected (C,H,W), got shape {self.values.shape}")
         self.values.flags.writeable = False
 
+    def __reduce__(self):  # rebuilt through __init__, so the copy is read-only too
+        return FrameTensor, (self.values,)
+
     @property
     def height(self) -> int:
         return self.values.shape[1]

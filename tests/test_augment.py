@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,8 +180,7 @@ class TestApplyToFrame:
     @pytest.mark.parametrize("transform", [AffineTransform.translation(2.5, 0.0),
                                            AffineTransform.identity()])
     def test_non_finite_frame_rejected_at_first_index(self, bad, transform):
-        # A kept border pixel multiplies its clamped out-of-frame taps by 0.0,
-        # so a warp would turn inf in column 0 into NaN in columns 2 and 3.
+        # A warp would carry inf in column 0 into columns 2 and 3 of its output.
         values = np.ones((2, 8, 8), dtype=np.float32)
         values[1, 3:, 0] = bad
         with pytest.raises(NonFiniteValue) as exc:
@@ -188,8 +189,8 @@ class TestApplyToFrame:
 
     def test_warp_memory_is_frame_source_and_fixed_buffers(self):
         # One gen1 frame through a prebuilt table holds its float32 output, one
-        # pixel-major copy of the input and the BLOCK buffers, not (kept, C)
-        # float64 sums.
+        # pixel-major copy of the input (its zero border adds 46 KB) and the
+        # BLOCK buffers, not (kept, C) float64 sums.
         c, h, w = 20, 256, 320
         frame = FrameTensor(np.ones((c, h, w), dtype=np.uint16))
         aug = manual_aug(h, w, AffineTransform.rotation_deg(20).about(w / 2, h / 2))
@@ -204,8 +205,34 @@ class TestApplyToFrame:
         aug = manual_aug(h, w, AffineTransform.rotation_deg(20).about(w / 2, h / 2)
                          .compose(AffineTransform.scaling(0.7).about(w / 2, h / 2)))
         table = sum(a.nbytes for a in augmod._warp_taps(aug))
-        assert table < 0.7 * h * w * 72
+        assert table < 0.7 * h * w * 32  # kept, base, fx and fy: 8 bytes each per pixel
         assert traced_peak(augmod._warp_taps, aug) < 2 * table + 4 * 2**20
+
+    def test_far_off_translation_reads_nothing(self, rng):
+        # Every sampling position is about -1e306: finite, but far past int64.
+        aug = manual_aug(6, 8, AffineTransform.translation(1e306, 0.0))
+        values = rng.uniform(1, 2, size=(2, 6, 8)).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert augmod._warp_taps(aug).kept.size == 0
+            out = apply_to_frame(FrameTensor(values), aug).values
+        assert out.dtype == np.float32 and not out.any()
+
+    def test_nan_sampling_positions_read_nothing(self, rng, monkeypatch):
+        # Whether a finite affine can map a pixel center to NaN depends on how
+        # the platform sums a dot product (with a fused multiply-add it cannot),
+        # so the inverse map is replaced: every x is NaN, every y in the frame.
+        def nan_x(transform, points):
+            return np.column_stack([np.full(len(points), np.nan), points[:, 1]])
+
+        monkeypatch.setattr(AffineTransform, "apply", nan_x)
+        aug = manual_aug(6, 8, AffineTransform.translation(0.5, 0.0))
+        values = rng.uniform(1, 2, size=(2, 6, 8)).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert augmod._warp_taps(aug).kept.size == 0
+            out = apply_to_frame(FrameTensor(values), aug).values
+        assert out.dtype == np.float32 and not out.any()
 
     def test_determinism_bit_for_bit(self, rng):
         frame = FrameTensor(rng.uniform(size=(2, 16, 16)).astype(np.float32))

@@ -656,6 +656,7 @@ class TestAugmentCommand:
         ("shear_deg", "1e308", False),
         ("translate_frac", "1e308", False),
         ("translate_frac", "8e307", False),  # drawable, but the shift in pixels is not finite
+        ("scale_range_max", "1e308", False),  # drawable, but the scale about the center is not
         ("erase_area_max", "1e308", True),  # no erasure size fits, so none is drawn
     ])
     def test_extreme_magnitude_is_one_error_line_or_success(self, tmp_path, capsys,
@@ -672,6 +673,24 @@ class TestAugmentCommand:
             assert (rc, err) == (0, "")
         else:
             assert rc == 1 and re.fullmatch('error code=ValueError msg="[^\n]*"\n', err), err
+
+    def test_far_off_translation_writes_zero_frames_and_no_boxes(self, tmp_path, capsys):
+        # Shifts of about 1e306 frame widths are finite, so the draw is valid,
+        # but no output pixel samples the frame and no box stays in it.
+        frames, ann, _ = self._converted(tmp_path)
+        cfgf = tiny_config(tmp_path / "far.ini",
+                           "[augment]\ntranslate_p = 1\ntranslate_frac = 1e306\n")
+        out = tmp_path / "aug"
+        capsys.readouterr()
+        rc = cli.main(["augment", str(frames), "--output", str(out), "--annotations", str(ann),
+                       "--config", str(cfgf), "--mode", "video"])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        written = sorted(out.glob("aug_*.evf"))
+        assert len(written) == 20
+        for path in written:
+            values = read_evf(path.read_bytes()).values
+            assert values.dtype == np.float32 and not values.any()
+        assert codec.read_annotations(ann) and codec.read_annotations(out / "annotations.txt") == []
 
     def test_seeded_rerun_identical(self, tmp_path):
         frames, ann, cfgf = self._converted(tmp_path)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -17,10 +19,16 @@ from evkit.event_core import (
     validate_stream,
 )
 
+from evkit.geometry import AffineTransform
+from evkit.representation import FrameTensor
+
 from conftest import make_stream
 from oracles import bucket_counts
 
 GEN1 = SensorGeometry(304, 240)
+
+ROUNDTRIPS = pytest.mark.parametrize(
+    "roundtrip", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["deepcopy", "pickle"])
 
 
 class TestValidation:
@@ -121,6 +129,38 @@ class TestValidation:
         with pytest.raises(OutOfBounds) as exc:
             dataclasses.replace(s, x=x)
         assert exc.value.index == 3
+
+    # Each frozen array-holding type, built from a seeded rng, and its array fields.
+    ARRAY_TYPES = {
+        "EventStream": (lambda rng: make_stream(rng, 10, SensorGeometry(4, 4), 100), "txyp"),
+        "FrameTensor": (lambda rng: FrameTensor(rng.uniform(size=(2, 3, 4)).astype(np.float32)),
+                        ["values"]),
+        "AffineTransform": (lambda rng: AffineTransform.rotation_deg(rng.uniform(-30, 30))
+                            .compose(AffineTransform.translation(2.5, -1.0)), ["matrix"]),
+    }
+
+    @ROUNDTRIPS
+    @pytest.mark.parametrize("kind", ARRAY_TYPES)
+    def test_copies_keep_arrays_read_only(self, rng, kind, roundtrip):
+        # A copy's arrays are new ones, which numpy makes writeable; only a
+        # rebuild through __init__ marks them read-only again.
+        build, fields = self.ARRAY_TYPES[kind]
+        value = build(rng)
+        copied = roundtrip(value)
+        assert type(copied) is type(value)
+        for f in fields:
+            original, array = getattr(value, f), getattr(copied, f)
+            assert array is not original and not array.flags.writeable
+            assert array.dtype == original.dtype and np.array_equal(array, original)
+
+    @ROUNDTRIPS
+    def test_copies_revalidate(self, roundtrip):
+        # x = 4 is off a 4-wide sensor; validate=False let the stream hold it.
+        s = EventStream(SensorGeometry(4, 4), [0, 1, 2], [0, 4, 1], [0, 0, 0], [0, 1, 0],
+                        validate=False)
+        with pytest.raises(OutOfBounds) as exc:
+            roundtrip(s)
+        assert exc.value.index == 1
 
 
 class TestPartition:
