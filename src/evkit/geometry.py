@@ -12,13 +12,15 @@ few fixed taps per axis, each a strided slice [first::factor] times a weight:
   factor 2 reads past an edge; those reads clamp to the edge pixel.
 
 `source_taps` turns the same taps around: for each source pixel, the output
-pixels it feeds and with what weight, the clamped edge reads folded in.
-`representation.save_stacked_histogram` scatters clipped counts through that
-table straight into the downscaled, padded layout.  Both builds give the
-same bytes: a count is at most 65535 and a weight is k/16 per axis, so every
-product and partial sum is a dyadic rational that float64 holds exactly, and
-the one float32 cast sees the same value in any summation order.
-`downscale` stays as the slice-based oracle.
+terms it feeds, one per tap that reads it, clamped edge reads included.  A
+term is an output pixel together with the class of the tap's weight.
+`representation.save_stacked_histogram` counts each time bin's events per
+term with one integer bincount, straight into the downscaled, padded
+layout.  Both builds give the same bytes.  A weight is k/16 per axis, so an
+output is an integer S = sum(count x k) divided by 256.  `downscale` sums
+it exactly in float64, in any order, and rounds once to float32; the count
+path rounds S once to float32 and then scales by a power of two, which is
+exact.  `downscale` stays as the slice-based oracle.
 
 Padding is zeros on the bottom/right only, so box coordinates never need an
 offset.
@@ -113,9 +115,13 @@ class AffineTransform:
         # Closed form keeps axis-aligned transforms (flips, integer shifts)
         # exactly invertible in floating point.
         (a, b, tx), (c, d, ty) = self.matrix
-        det = a * d - b * c
-        inv = np.array([[d, -b], [-c, a]]) / det
-        return AffineTransform(np.hstack([inv, -inv @ np.array([[tx], [ty]])]))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite inverse is rejected
+            det = a * d - b * c
+            if not _DET_EPS < abs(det) < np.inf:  # an overflowed det has an all-zero inverse
+                raise SingularTransform(f"{self.matrix.tolist()} has determinant {det}, "
+                                        "so its inverse is singular")
+            inv = np.array([[d, -b], [-c, a]]) / det
+            return AffineTransform(np.hstack([inv, -inv @ np.array([[tx], [ty]])]))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an (N, 2) array of (x, y) points."""
@@ -143,26 +149,28 @@ def _taps(factor: int, method: str) -> list[tuple[int, float]]:
 
 
 def source_taps(size: int, factor: int, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per source pixel of one axis, the outputs it feeds: two (size, K) arrays.
+    """Per source pixel of one axis, the output terms it feeds.
 
-    Row s holds output indices and weights; reads past an edge are clamped
-    to the edge pixel, and taps of one source into one output are summed.
-    Unused slots are output 0 with weight 0.
+    Returns `(terms, weights)`.  `weights` holds the method's distinct tap
+    weights; a term is `out * len(weights) + class`, the
+    output pixel `out` read with weight `weights[class]`.  `terms` is
+    (size, K) int64: row s lists one term per tap that reads source s, a
+    read past an edge clamped to the edge pixel, and -1 in unused slots.
     """
     taps = _taps(factor, method)
     if size % factor:
         raise NotDivisible(f"size {size} not divisible by {factor}")
+    weights = np.array(sorted({w for _, w in taps}))
     out = np.arange(size // factor)
     src = np.concatenate([np.clip(first + out * factor, 0, size - 1) for first, _ in taps])
-    pairs, which = np.unique(src * len(out) + np.tile(out, len(taps)), return_inverse=True)
-    weight = np.bincount(which, weights=np.repeat([w for _, w in taps], len(out)))
-    src, dst = np.divmod(pairs, len(out))
+    term = np.concatenate([out * len(weights) + np.flatnonzero(weights == w)[0]
+                           for _, w in taps])
+    order = np.argsort(src, kind="stable")
+    src, term = src[order], term[order]
     slot = np.arange(len(src)) - np.searchsorted(src, src)
-    index = np.zeros((size, slot.max() + 1), dtype=np.int64)
-    weights = np.zeros(index.shape)
-    index[src, slot] = dst
-    weights[src, slot] = weight
-    return index, weights
+    terms = np.full((size, slot.max() + 1), -1, dtype=np.int64)
+    terms[src, slot] = term
+    return terms, weights
 
 
 def downscale(frame: FrameTensor, factor: int, method: str = "bilinear") -> FrameTensor:

@@ -11,19 +11,28 @@ exceed 255 events per pixel on fast motion, so 8-bit output is an explicit
 clip_limit export choice rather than the default.
 
 `save_stacked_histogram` builds and writes a window's downscaled, padded
-frame, one time bin at a time: it counts each bin's events per occupied cell
-with one sort and clips the counts.  At factor 1 the clipped counts go
-straight into the bin's two channels of the padded uint16 (2B, Hp, Wp)
-layout, so padding is only the output's row stride.  At factor > 1 each
-occupied full-resolution cell scatters count x tap weights into the bin's
-two channels of the downscaled, padded layout with one weighted bincount,
-and the sums are cast to float32 once.  Every term is a count of at most
-65535 times k/16 per axis, so float64 sums them exactly in any order and
-the file matches `geometry.downscale` then `pad_to_multiple` byte for byte.
+frame, one time bin at a time.  At factor 1 it counts each bin's events per
+occupied cell with one sort, clips the counts and puts them straight into
+the bin's two channels of the padded uint16 (2B, Hp, Wp) layout, so padding
+is only the output's row stride.  Those cell ids are 32-bit unless the id
+space exceeds 2**32.
+
+At factor > 1 it counts each bin at output resolution.
+`geometry.source_taps` gives every source row and column the output terms
+it feeds: a term is an output pixel together with the class of one tap
+weight.  One integer bincount of each event's (p, y term, x term) ids then
+counts the bin.  A term's count bounds the count of every cell it reads, so
+the per-cell cap needs only the cells of terms over it: those events are
+sorted, and each cell's excess is taken off every term it feeds.  The counts
+stay integers to the end.  With integer class weights k/256, an output is
+the integer sum of count x k over its terms, divided by 256.  That integer
+rounds once to float32 and a power-of-two scale is exact, which gives the
+value that `geometry.downscale` rounds once from float64.  So the file
+matches `downscale` then `pad_to_multiple` byte for byte.
+
 Each bin's channels are written at their file offsets and dropped, so no
 whole frame is held.  `stacked_histogram` builds the full-resolution uint16
-frame from the same bins.  Cell ids are 32-bit unless the id space exceeds
-2**32.
+frame from the same bins.
 """
 
 from __future__ import annotations
@@ -48,15 +57,22 @@ _EVF_CODES = {np.dtype(np.uint16): 1, np.dtype(np.float32): 2}
 COUNT_MAX = np.iinfo(np.uint16).max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameTensor:
     """Dense (C, H, W) row-major tensor for one time window.
 
     Histograms hold unsigned counts (uint16); downscaled and augmented
-    frames hold float32 values.
+    frames hold float32 values.  Two frames are equal when their values
+    and dtypes are.
     """
 
     values: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrameTensor):
+            return NotImplemented
+        return (self.values.dtype == other.values.dtype
+                and np.array_equal(self.values, other.values))
 
     def __post_init__(self):
         if self.values.ndim != 3:
@@ -159,8 +175,8 @@ def _bin_channels(stream: EventStream, window: TimeWindow, cfg: StackedHistogram
                   factor: int, method: str, pad_multiple: int):
     """Check the arguments, then return the padded frame's (height, width) and
     an iterator over its time bins.  Bin i yields its (2, height, width)
-    channels i (p = 0) and B + i (p = 1): uint16 counts at factor 1, float64
-    sums otherwise, which the caller casts to float32."""
+    channels i (p = 0) and B + i (p = 1): uint16 counts at factor 1, float32
+    values otherwise, in one buffer that the next bin overwrites."""
     from .geometry import EVEN_FACTOR_TAPS, source_taps  # geometry imports this module
 
     if window.length != cfg.t_frame:
@@ -175,39 +191,84 @@ def _bin_channels(stream: EventStream, window: TimeWindow, cfg: StackedHistogram
         raise EventOutsideWindow(f"event at t={bad} outside [{window.t0}, {window.t1})")
     height, width = stream.geometry.height, stream.geometry.width
     if factor != 1:  # source_taps also rejects factor < 1 and NotDivisible sizes
-        (y_index, y_weight), (x_index, x_weight) = (
+        (y_terms, y_weights), (x_terms, x_weights) = (
             source_taps(height, factor, method), source_taps(width, factor, method))
     elif method not in EVEN_FACTOR_TAPS:
         raise ValueError(f"unknown method {method!r}")
     out_h, out_w = _padded(height, factor, pad_multiple), _padded(width, factor, pad_multiple)
-    # Cells are counted in the padded layout at factor 1, at full resolution otherwise.
-    id_h, id_w = (out_h, out_w) if factor == 1 else (height, width)
-    id_type = np.uint32 if 2 * id_h * id_w <= 2**32 else np.int64  # u32 sorts ~3x faster
     cap = COUNT_MAX if cfg.clip_limit is None else cfg.clip_limit
     # A bin's events are one contiguous run of the sorted stream and its cells
     # are its own, so every temporary is a bin's size, not the window's.
     edges = np.searchsorted(t, window.t0 + cfg.t_bin * np.arange(cfg.n_bins + 1))
+    bins = zip(edges[:-1], edges[1:])
 
-    def count(lo: int, hi: int) -> np.ndarray:
-        cells, counts = np.unique(
-            (stream.p[lo:hi].astype(id_type) * id_h + stream.y[lo:hi]) * id_w
-            + stream.x[lo:hi], return_counts=True)
-        np.minimum(counts, cap, out=counts)
-        if factor == 1:
+    if factor == 1:
+        id_type = np.uint32 if 2 * out_h * out_w <= 2**32 else np.int64  # u32 sorts ~3x faster
+
+        def count(lo: int, hi: int) -> np.ndarray:
+            cells, counts = np.unique(
+                (stream.p[lo:hi].astype(id_type) * out_h + stream.y[lo:hi]) * out_w
+                + stream.x[lo:hi], return_counts=True)
+            np.minimum(counts, cap, out=counts)
             channels = np.zeros(2 * out_h * out_w, dtype=np.uint16)
             channels[cells] = counts
             return channels.reshape(2, out_h, out_w)
-        p, cells = np.divmod(cells, height * width)
-        y, x = np.divmod(cells, width)
-        # One (cell, y tap, x tap) term per table slot; unused slots add 0 to pixel 0.
-        flat = ((p.astype(np.int64)[:, None, None] * out_h + y_index[y][:, :, None]) * out_w
-                + x_index[x][:, None, :])
-        weights = counts[:, None, None] * y_weight[y][:, :, None] * x_weight[x][:, None, :]
-        return np.bincount(flat.ravel(), weights=weights.ravel(),
-                           minlength=2 * out_h * out_w).reshape(2, out_h, out_w)
 
-    # Each bin's temporaries are freed when `count` returns.
-    return (out_h, out_w), (count(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+        return (out_h, out_w), (count(lo, hi) for lo, hi in bins)
+
+    # Term space (p, y term, x term), plus one row and one column that collect
+    # the unused slots and are never read.  The row table is indexed by
+    # p * height + y, so an event's ids are one gather per axis and one add.
+    rows, cols = out_h * len(y_weights) + 1, out_w * len(x_weights) + 1
+    row = np.where(y_terms < 0, rows - 1, y_terms) * cols
+    row = np.concatenate([row, row + rows * cols])
+    col = np.where(x_terms < 0, cols - 1, x_terms)
+    # Each class weight is k/256 for an integer k (the taps are k/16 per axis).
+    # With g the largest power of two dividing every k, a bin's terms are
+    # summed as integers S = sum(count * k/g), and S rounds once to float32.
+    # The scale g/256 is a power of two, so S * g/256 is then exact: the value
+    # that `downscale` rounds once from float64.
+    k = (np.multiply.outer(y_weights, x_weights) * 256).astype(np.int64)
+    g = int(np.gcd.reduce(k.ravel()))
+    g &= -g
+    units, scale = k // g, g / 256
+    # One buffer for every bin: the caller writes each bin before it asks for the next.
+    planes = np.empty((2, out_h, out_w), dtype=np.float32)
+
+    def resample(lo: int, hi: int) -> np.ndarray:
+        p, y, x = stream.p[lo:hi], stream.y[lo:hi], stream.x[lo:hi]
+        ids = (np.take(row, np.multiply(p, height, dtype=np.uint32) + y, axis=0)[:, :, None]
+               + np.take(col, x, axis=0)[:, None, :])
+        counts = np.bincount(ids.ravel(), minlength=2 * rows * cols)
+        grid = counts.reshape(2, rows, cols)
+        grid[:, -1], grid[:, :, -1] = 0, 0
+        # A term counts every event of each source cell it reads, so only a
+        # term over the cap can read a cell over it, and no term counts more
+        # than the bin has ids.
+        if ids.size > cap and counts.max() > cap:
+            hot = np.flatnonzero((counts[ids] > cap).any(axis=(1, 2)))
+            _clip_cells(counts, ids[hot],
+                        (p[hot].astype(np.int64) * height + y[hot]) * width + x[hot], cap)
+        by_class = grid[:, :-1, :-1].reshape(2, out_h, len(y_weights), out_w, len(x_weights))
+        acc = by_class[:, :, 0, :, 0]
+        for (a, b), unit in np.ndenumerate(units):
+            plane = by_class[:, :, a, :, b]
+            if unit != 1:
+                plane *= unit
+            if a or b:
+                acc += plane
+        return np.multiply(acc, scale, out=planes, dtype=np.float32)
+
+    return (out_h, out_w), (resample(lo, hi) for lo, hi in bins)
+
+
+def _clip_cells(counts: np.ndarray, ids: np.ndarray, cells: np.ndarray, cap: int) -> None:
+    """Clip source cells at `cap` in a bin's term counts: event i lies in
+    cell `cells[i]` and feeds terms `ids[i]`, and each cell's count above
+    `cap` is taken off every term it feeds."""
+    _, first, n = np.unique(cells, return_index=True, return_counts=True)
+    over = n > cap
+    np.subtract.at(counts, ids[first[over]], (n[over] - cap)[:, None, None])
 
 
 def _padded(n: int, factor: int, pad_multiple: int) -> int:

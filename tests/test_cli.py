@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import re
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -673,6 +674,20 @@ class TestAugmentCommand:
             assert (rc, err) == (0, "")
         else:
             assert rc == 1 and re.fullmatch('error code=ValueError msg="[^\n]*"\n', err), err
+
+    def test_overflowing_scale_is_one_singular_transform_line(self, tmp_path, capsys):
+        # A scale of about 1e200 is finite, but its determinant is not, so the
+        # warp's inverse is singular: one error line, and no numpy warning first.
+        frames, ann, _ = self._converted(tmp_path)
+        cfgf = tiny_config(tmp_path / "huge.ini", "[augment]\ntranslate_p = 1\nscale_p = 1\n"
+                                                  "scale_range_max = 1e200\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["augment", str(frames), "--output", str(tmp_path / "aug"),
+                           "--annotations", str(ann), "--config", str(cfgf)])
+        err = capsys.readouterr().err
+        assert rc == 1 and re.fullmatch('error code=SingularTransform msg="[^\n]*"\n', err), err
 
     def test_far_off_translation_writes_zero_frames_and_no_boxes(self, tmp_path, capsys):
         # Shifts of about 1e306 frame widths are finite, so the draw is valid,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import sys
 
 import numpy as np
@@ -155,6 +156,44 @@ class TestDownscaledPaddedLayout:
             assert ((tmp_path / "bins.evf").read_bytes()
                     == (tmp_path / "frame.evf").read_bytes()), name
 
+    def _clip_runs(self, tmp_path, monkeypatch, cells, method, clip_limit) -> int:
+        """Save a one-bin window at factor 2 with `count` events (p = 1) at each
+        (x, y, count) of `cells`, check its bytes against the oracle and return
+        how often source cells were clipped in the term counts."""
+        x, y = np.repeat(np.array([c[:2] for c in cells]).T, [c[2] for c in cells], axis=1)
+        stream = EventStream(self.GEOMETRY, np.arange(x.size) * 1_000 // x.size, x, y,
+                             np.ones(x.size, dtype=np.uint8))
+        calls = []
+        clip_cells = rep._clip_cells
+        monkeypatch.setattr(rep, "_clip_cells", lambda *args: calls.append(args)
+                            or clip_cells(*args))
+        cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=1, clip_limit=clip_limit)
+        window = TimeWindow(0, 1_000)
+        rep.save_stacked_histogram(tmp_path / "f.evf", stream, window, cfg, factor=2,
+                                   method=method, pad_multiple=1)
+        assert (tmp_path / "f.evf").read_bytes() == self._expected(stream, window, cfg, 2,
+                                                                   method, 1)
+        return len(calls)
+
+    def test_output_over_the_cap_with_no_source_cell_over_it(self, tmp_path, monkeypatch):
+        # Output (2, 3) reads four cells of 2 events each: 8 events, cap 3.
+        cells = [(4, 6, 2), (5, 6, 2), (4, 7, 2), (5, 7, 2)]
+        assert self._clip_runs(tmp_path, monkeypatch, cells, "bilinear", 3) == 1
+        assert rep.read_evf((tmp_path / "f.evf").read_bytes()).values[1, 3, 2] == 2.0
+
+    def test_capped_cell_feeding_two_outputs_per_axis(self, tmp_path, monkeypatch):
+        # Bicubic /2: cell (5, 7) feeds outputs 2 and 3 of each axis.  Its
+        # neighbour (4, 7) shares its terms and stays under the cap.
+        cells = [(5, 7, 10), (4, 7, 2), (20, 11, 1)]
+        assert self._clip_runs(tmp_path, monkeypatch, cells, "bicubic", 3) == 1
+
+    def test_zero_weight_column_adds_nothing(self, tmp_path, monkeypatch):
+        # Nearest /2 reads even columns only: 70,000 events on column 1 are
+        # over the default cap, but feed no output.
+        cells = [(1, 5, 70_000), (2, 4, 1)]
+        assert self._clip_runs(tmp_path, monkeypatch, cells, "nearest", None) == 0
+        assert rep.read_evf((tmp_path / "f.evf").read_bytes()).values.sum() == 1.0
+
     @pytest.mark.parametrize("factor", [1, 2, 3])
     def test_events_on_bin_edges_of_a_later_window(self, tmp_path, factor):
         # Frames are built one time bin at a time; each event on either side
@@ -202,6 +241,18 @@ class TestDownscaledPaddedLayout:
             assert not path.exists(), kwargs
         with pytest.raises(TypeError):  # resampled frames are built only by the saver
             rep.stacked_histogram(s, window, cfg, factor=2)
+
+
+class TestFrameTensor:
+    def test_equality_compares_values_and_dtype(self):
+        values = np.arange(24, dtype=np.uint16).reshape(2, 3, 4)
+        frame = rep.FrameTensor(values)
+        assert frame == copy.deepcopy(frame)
+        assert frame == rep.FrameTensor(values.copy())
+        assert frame != rep.FrameTensor(values + 1)
+        assert frame != rep.FrameTensor(values.reshape(2, 4, 3))
+        assert frame != rep.FrameTensor(values.astype(np.float32))  # same numbers
+        assert frame != "frame"
 
 
 class TestHistogram2d:
