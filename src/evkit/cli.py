@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import math
 import os
 import shutil
@@ -34,11 +33,10 @@ from .event_core import SensorGeometry, WindowSlice, stream_windows, window_coun
 from .geometry import EVEN_FACTOR_TAPS, map_boxes
 from .representation import (
     EVF_MAX_CHANNELS,
+    BinCounter,
     StackedHistogramConfig,
-    evf_frame_size,
     read_evf,
     save_evf,
-    save_stacked_histogram,
 )
 
 
@@ -185,49 +183,67 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
     boxes = codec.read_annotations(args.annotations) if args.annotations else []
     out_dir = Path(args.output)
     with read_recording(args.input, cfg.geometry) as rec:
+        counter = BinCounter(rec.geometry, cfg.hist, factor=cfg.downscale_factor,
+                             method=cfg.downscale_method, pad_multiple=cfg.pad_multiple)
         n_windows = 0 if rec.first_t is None else window_count(
             rec.first_t, rec.last_t, cfg.hist.t_frame, args.t_start)
-        _check_space(out_dir, n_windows, evf_frame_size(
-            rec.geometry, cfg.hist, factor=cfg.downscale_factor, pad_multiple=cfg.pad_multiple))
-        windows = stream_windows(rec.chunks(), cfg.hist.t_frame, args.t_start)
-        # Write no more frames than the space check counted.  Only a recording
-        # whose last record is not its latest event has more windows, and
-        # reading on past them reaches its NonMonotoneTimestamp.
-        counted = itertools.islice(windows, n_windows)
+        _check_space(out_dir, n_windows, counter.size)
+        bins = stream_windows(rec.chunks(), cfg.hist.t_frame, args.t_start, cfg.hist.n_bins)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.annotations:
             scaled = map_boxes(boxes, 1.0 / cfg.downscale_factor)
             codec.write_annotations(out_dir / "annotations.txt", scaled)
         written: list[WindowSlice] = []
+        # Window -> [its file's descriptor, bins being written, last bin taken].
+        files: dict[int, list] = {}
         lock = threading.Lock()
 
         def work() -> None:
-            # A worker takes the next window only when it is free, so at most
-            # --threads windows' events and frames are alive at a time; each
-            # window is read, joined and counted by one thread.
+            # A worker takes the next bin only when it is free, so at most
+            # --threads bins are counted at a time.  A window's file is created
+            # with its first bin and closed by whoever finishes its last.
+            out = counter.buffer()
             while True:
                 with lock:
-                    w, events = next(counted, (None, None))
-                    if w is None or (args.drop_partial and w.partial):
+                    b = next(bins, None)
+                    # Write no more windows than the space check counted.  Only
+                    # a recording whose last record is not its latest event has
+                    # more, and reading on past them reaches its NonMonotoneTimestamp.
+                    if b is None or b.k >= n_windows:
                         return
-                    k = len(written)
-                    written.append(w)
-                save_stacked_histogram(
-                    out_dir / _frame_name(k), events, w.window, cfg.hist,
-                    factor=cfg.downscale_factor, method=cfg.downscale_method,
-                    pad_multiple=cfg.pad_multiple)
-                del events
+                    if b.i == 0:
+                        files[b.k] = [counter.create(out_dir / _frame_name(b.k)), 0, False]
+                    file = files[b.k]
+                    file[1] += 1
+                    if b.closed:
+                        file[2] = True
+                        written.append(b.closed)
+                counter.write(file[0], b.i, b.p, b.y, b.x, out)
+                k = b.k
+                del b  # its chunk is not held while the next bin is read
+                with lock:
+                    file[1] -= 1
+                    if file[2] and not file[1]:
+                        os.close(files.pop(k)[0])
 
         # This thread is one of the workers, so one worker starts no thread,
-        # and a worker beyond one per window would find no window to take.
+        # and no more workers start than there are windows.
         workers = min(cfg.threads, n_windows)
-        with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-            helpers = [pool.submit(work) for _ in range(workers - 1)]
-            work()
-            for future in helpers:
-                future.result()
-        for _ in windows:
+        try:
+            with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+                helpers = [pool.submit(work) for _ in range(workers - 1)]
+                work()
+                for future in helpers:
+                    future.result()
+        finally:
+            for fd, *_ in files.values():
+                os.close(fd)
+        for _ in bins:
             pass
+    # The last window's bins are written before the end of the stream shows it partial.
+    if args.drop_partial and written and written[-1].partial:
+        written.pop()
+        (out_dir / _frame_name(len(written))).unlink()
     box_ranges = _box_ranges(boxes, [(w.window.t0, w.window.t1) for w in written])
     (out_dir / "index.txt").write_text("".join(
         f"window={k} t0={w.window.t0} t1={w.window.t1} file={_frame_name(k)} "

@@ -2,14 +2,23 @@
 
 Timestamps are integer microseconds everywhere; no floating-point time is
 used in core types, so a 60-second recording accumulates zero drift.
-All types are frozen dataclasses, so no field can be reassigned, and
-`EventStream`'s columns are read-only; all are safe to share across threads.
+All types are frozen dataclasses or named tuples, so no field can be
+reassigned, and event columns are read-only; all are safe to share across
+threads.
+
+`stream_windows` is the one partitioner.  It cuts a stream, given as
+consecutive chunks, into windows of equal time bins, and hands out each
+bin's columns as soon as a later event closes the bin.  A bin inside one
+chunk is a view of it.  Only a bin straddling a chunk edge is joined, from
+copies, so no chunk is held while the next is read.  `partition_windows`,
+`representation.stacked_histogram`, `save_stacked_histogram` and `convert`
+all read their windows from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -205,38 +214,62 @@ def window_count(first_t: int, last_t: int, t_frame: int, t_start: int = 0) -> i
     return n
 
 
+class TimeBin(NamedTuple):
+    """One time bin of a partitioned stream: bin `i` of window `k`, both counted
+    from 0, with the polarity, row and column of its events in stream order.
+    The columns are read-only.  `closed` is the window's `WindowSlice` on the
+    last bin streamed for the window, and None on its other bins."""
+
+    k: int
+    i: int
+    p: np.ndarray
+    y: np.ndarray
+    x: np.ndarray
+    closed: WindowSlice | None
+
+
 def stream_windows(
-    chunks: Iterable[EventStream], t_frame: int, t_start: int = 0,
-) -> Iterator[tuple[WindowSlice, EventStream]]:
-    """Partition a stream, given as consecutive chunks, into t_frame windows.
+    chunks: Iterable[EventStream], t_frame: int, t_start: int = 0, n_bins: int = 1,
+) -> Iterator[TimeBin]:
+    """Partition a stream, given as consecutive chunks, into t_frame windows of
+    n_bins equal time bins.
 
     Windows run from t_start through the one holding the stream's last event,
-    as `window_count` counts them from the first and last timestamps seen.
-    Each is yielded with its events as soon as a later event, or the end of
-    the stream, closes it; the pieces of the chunks it spans are joined once
-    and released before the yield.  A window closed by a later event is
-    covered, so only the last window can be partial.  The window-count checks
-    (t_start after the first event, window edges beyond int64) run as each
-    chunk arrives, so a later chunk can raise after earlier windows were
-    yielded.  An empty stream has no windows.  Chunks must share one
-    geometry, and a chunk starting before the previous one's last timestamp
-    raises NonMonotoneTimestamp at its first event's index in the stream.
+    as `window_count` counts them from the first and last timestamps seen, and
+    their bins run through the one holding that event: the last window's
+    trailing bins are not streamed.  Each bin is yielded as soon as a later
+    event, or the end of the stream, closes it.  A bin inside one chunk views
+    that chunk's columns.  The part of a bin that reaches a chunk's end is
+    copied, and joined with the rest of the bin when it closes, so the stream
+    holds no chunk while the next is read.  A window closed by a later event
+    is covered, so only the last window can be partial.  The window-count
+    checks (t_start after the first event, window edges beyond int64) run as
+    each chunk arrives, so a later chunk can raise after earlier bins were
+    yielded.  An empty stream has no bins.  Chunks must share one geometry,
+    and a chunk starting before the previous one's last timestamp raises
+    NonMonotoneTimestamp at its first event's index in the stream.
     """
-    pieces: list[EventStream] = []
-    k = seen = 0
+    if n_bins < 1 or t_frame % n_bins:
+        raise ValueError(f"{n_bins} bins do not divide a {t_frame} us window")
+    t_bin = t_frame // n_bins
+    held: list[tuple[np.ndarray, ...]] = []  # copies of the open bin's earlier pieces
+    b = seen = start = 0  # the open bin, from t_start; events before the chunk and the window
     geometry = first_t = last_t = None
 
-    def close(stop: int, partial: bool = False) -> tuple[WindowSlice, EventStream]:
-        nonlocal k
-        t0 = t_start + k * t_frame
-        # Each piece was checked with its chunk, and each chunk's first
-        # timestamp and geometry against the chunk before, so the join is not.
-        events = pieces[0] if len(pieces) == 1 else EventStream(
-            geometry, *(np.concatenate([getattr(s, f) for s in pieces]) for f in "txyp"),
-            validate=False)
-        pieces.clear()
-        k += 1
-        return WindowSlice(TimeWindow(t0, t0 + t_frame), stop - len(events), stop, partial), events
+    def close(piece: tuple[np.ndarray, ...], stop: int, partial: bool = False) -> TimeBin:
+        nonlocal b, start
+        if held:
+            held.append(piece)
+            piece = tuple(_read_only(np.concatenate(column)) for column in zip(*held))
+            held.clear()
+        k, i = divmod(b, n_bins)
+        b += 1
+        closed = None
+        if i == n_bins - 1 or partial:  # a partial window is closed early, by the end
+            t0 = t_start + k * t_frame
+            closed = WindowSlice(TimeWindow(t0, t0 + t_frame), start, stop, bool(partial))
+            start = stop
+        return TimeBin(k, i, *piece, closed)
 
     for chunk in chunks:
         if not len(chunk):
@@ -249,21 +282,33 @@ def stream_windows(
         elif t[0] < last_t:
             raise NonMonotoneTimestamp(seen)
         last_t = int(t[-1])
-        # The window of the chunk's last event may go on in the next chunk;
-        # every window before it is complete.
-        last = window_count(first_t, last_t, t_frame, t_start) - 1
-        ends = np.searchsorted(t, t_start + t_frame * np.arange(k + 1, last + 2, dtype=np.int64))
+        window_count(first_t, last_t, t_frame, t_start)  # its checks only
+        # The bin of the chunk's last event may go on in the next chunk; every
+        # bin before it is closed.  Those before the bin of the chunk's first
+        # event hold none of the chunk.  The edges after it are offsets from
+        # that event's bin, and timestamps are not negative, so none passes int64.
+        first = max(b, (int(t[0]) - t_start) // t_bin)
+        while b < first:
+            yield close((chunk.p[:0], chunk.y[:0], chunk.x[:0]), seen)
+        last = (last_t - t_start) // t_bin
+        edges = t_start + (first + 1) * t_bin + t_bin * np.arange(last - first)
         lo = 0
-        for stop in ends[:-1].tolist():
-            pieces.append(chunk[lo:stop])
-            yield close(seen + stop)
+        for stop in np.searchsorted(t, edges).tolist():
+            yield close((chunk.p[lo:stop], chunk.y[lo:stop], chunk.x[lo:stop]), seen + stop)
             lo = stop
-        pieces.append(chunk[lo:])
+        held.append(tuple(_read_only(c[lo:].copy()) for c in (chunk.p, chunk.y, chunk.x)))
         seen += len(chunk)
+        del chunk, t  # released before the next chunk is read
     if last_t is not None:
         # Data extent [t_start, last_t + 1) only partially covers the last
         # window unless it ends exactly on the window edge.
-        yield close(seen, last_t + 1 < t_start + (k + 1) * t_frame)
+        window_end = t_start + (b // n_bins + 1) * t_frame
+        yield close(held.pop(), seen, last_t + 1 < window_end)
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
 def partition_windows(
@@ -276,7 +321,7 @@ def partition_windows(
     defaults to 0 rather than the first event so frame indices are stable
     across runs; pass t_start for recordings with offset clocks.
     """
-    return [w for w, _ in stream_windows([stream], t_frame, t_start)]
+    return [b.closed for b in stream_windows([stream], t_frame, t_start)]
 
 
 def slice_window(stream: EventStream, window: TimeWindow) -> EventStream:

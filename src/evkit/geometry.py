@@ -14,7 +14,7 @@ few fixed taps per axis, each a strided slice [first::factor] times a weight:
 `source_taps` turns the same taps around: for each source pixel, the output
 terms it feeds, one per tap that reads it, clamped edge reads included.  A
 term is an output pixel together with the class of the tap's weight.
-`representation.save_stacked_histogram` counts each time bin's events per
+`representation.BinCounter` counts each time bin's events per
 term with one integer bincount, straight into the downscaled, padded
 layout.  Both builds give the same bytes.  A weight is k/16 per axis, so an
 output is an integer S = sum(count x k) divided by 256.  `downscale` sums

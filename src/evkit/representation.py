@@ -10,14 +10,19 @@ Counts are 16-bit unsigned with saturating accumulation; 50 ms windows can
 exceed 255 events per pixel on fast motion, so 8-bit output is an explicit
 clip_limit export choice rather than the default.
 
-`save_stacked_histogram` builds and writes a window's downscaled, padded
-frame, one time bin at a time.  At factor 1 it counts each bin's events per
-occupied cell with one sort, clips the counts and puts them straight into
-the bin's two channels of the padded uint16 (2B, Hp, Wp) layout, so padding
-is only the output's row stride.  Those cell ids are 32-bit unless the id
-space exceeds 2**32.
+A `BinCounter` is set up once per geometry and recipe: it checks the
+arguments and, at factor > 1, builds the term tables below.  It then counts
+one time bin's (p, y, x) columns, as `event_core.stream_windows` hands them
+out, into that bin's two channels of the downscaled, padded frame.
+`convert`, `save_stacked_histogram` and `stacked_histogram` all count their
+bins with it.
 
-At factor > 1 it counts each bin at output resolution.
+At factor 1 a bin's events are counted per occupied cell with one sort, the
+counts are clipped and put straight into the bin's two channels of the
+padded uint16 (2B, Hp, Wp) layout, so padding is only the output's row
+stride.  Those cell ids are 32-bit unless the id space exceeds 2**32.
+
+At factor > 1 each bin is counted at output resolution.
 `geometry.source_taps` gives every source row and column the output terms
 it feeds: a term is an output pixel together with the class of one tap
 weight.  One integer bincount of each event's (p, y term, x term) ids then
@@ -30,13 +35,18 @@ rounds once to float32 and a power-of-two scale is exact, which gives the
 value that `geometry.downscale` rounds once from float64.  So the file
 matches `downscale` then `pad_to_multiple` byte for byte.
 
-Each bin's channels are written at their file offsets and dropped, so no
-whole frame is held.  `stacked_histogram` builds the full-resolution uint16
-frame from the same bins.
+A window's EVF file is made as its header plus `ftruncate` to the full size;
+an existing file is replaced, not truncated in place.  Each bin's channels
+are then written with `os.pwrite` at their offsets, and a channel with no
+events is never written: it stays a hole, which reads as zeros.  So no whole
+frame is held, and memory is one bin's counting per writer.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +54,7 @@ import numpy as np
 
 from .errors import (BadHeader, BadMagic, EventOutsideWindow, NonFiniteValue, NotDivisible,
                      TruncatedFile)
-from .event_core import EventStream, SensorGeometry, TimeWindow
+from .event_core import EventStream, SensorGeometry, TimeWindow, stream_windows
 
 EVF_MAGIC = b"EVF1"
 EVF_HEADER_DTYPE = np.dtype([("magic", "S4"), ("code", "u1"), ("pad", "u1"), ("c", "<u2"),
@@ -126,11 +136,14 @@ def stacked_histogram(
     Channel c = p*B + i.  Single pass over the events; with clip_limit unset
     the total count equals the number of events (saturation at 65535 aside).
     """
-    (height, width), bins = _bin_channels(stream, window, cfg, 1, "bilinear", 1)
-    values = np.empty((2, cfg.n_bins, height, width), dtype=np.uint16)
-    for i, channels in enumerate(bins):
-        values[:, i] = channels
-    return FrameTensor(values.reshape(2 * cfg.n_bins, height, width))
+    counter = BinCounter(stream.geometry, cfg)
+    _check_window(stream, window, cfg)
+    values = np.zeros((2, cfg.n_bins, *counter.shape), dtype=np.uint16)
+    out = counter.buffer()
+    for b in stream_windows([stream], cfg.t_frame, window.t0, cfg.n_bins):
+        if len(b.p):
+            values[:, b.i] = counter.count(b.p, b.y, b.x, out)
+    return FrameTensor(values.reshape(2 * cfg.n_bins, *counter.shape))
 
 
 def save_stacked_histogram(
@@ -147,23 +160,33 @@ def save_stacked_histogram(
 
     The bytes are those of `write_evf` of `pad_to_multiple(downscale(
     stacked_histogram(stream, window, cfg), factor, method), pad_multiple)`,
-    with no `downscale` at factor 1, where the frame stays uint16.  The
-    header goes first; each time bin's two channels are then built, written
-    at their own offsets and dropped, so no whole frame is held.  The
+    with no `downscale` at factor 1, where the frame stays uint16.  The file
+    is made as `BinCounter.create` makes it, and each time bin is counted and
+    written with `BinCounter.write`, so no whole frame is held.  The
     arguments are checked before the file is created.
     """
-    (out_h, out_w), bins = _bin_channels(stream, window, cfg, factor, method, pad_multiple)
-    header, body_dtype = _evf_header(_frame_dtype(factor), (2 * cfg.n_bins, out_h, out_w))
-    plane = out_h * out_w * body_dtype.itemsize
-    with open(path, "wb") as f:
-        f.write(header)
-        # Not enumerate(bins): its result tuple keeps a bin alive while the next is counted.
-        for i in range(cfg.n_bins):
-            channels = next(bins)
-            for p in (0, 1):
-                f.seek(EVF_HEADER_SIZE + (p * cfg.n_bins + i) * plane)
-                f.write(channels[p].astype(body_dtype, copy=False).data)
-            del channels
+    counter = BinCounter(stream.geometry, cfg, factor=factor, method=method,
+                         pad_multiple=pad_multiple)
+    _check_window(stream, window, cfg)
+    fd = counter.create(path)
+    try:
+        out = counter.buffer()
+        for b in stream_windows([stream], cfg.t_frame, window.t0, cfg.n_bins):
+            counter.write(fd, b.i, b.p, b.y, b.x, out)
+    finally:
+        os.close(fd)
+
+
+def _check_window(stream: EventStream, window: TimeWindow, cfg: StackedHistogramConfig) -> None:
+    """Raise unless `window` is t_frame long and holds every event of `stream`."""
+    if window.length != cfg.t_frame:
+        raise ValueError(
+            f"window length {window.length} does not match t_frame {cfg.t_frame}"
+        )
+    t = stream.t
+    if len(stream) and (t[0] < window.t0 or t[-1] >= window.t1):
+        bad = int(t[0]) if t[0] < window.t0 else int(t[-1])
+        raise EventOutsideWindow(f"event at t={bad} outside [{window.t0}, {window.t1})")
 
 
 def _frame_dtype(factor: int) -> np.dtype:
@@ -171,74 +194,86 @@ def _frame_dtype(factor: int) -> np.dtype:
     return np.dtype(np.uint16 if factor == 1 else np.float32)
 
 
-def _bin_channels(stream: EventStream, window: TimeWindow, cfg: StackedHistogramConfig,
-                  factor: int, method: str, pad_multiple: int):
-    """Check the arguments, then return the padded frame's (height, width) and
-    an iterator over its time bins.  Bin i yields its (2, height, width)
-    channels i (p = 0) and B + i (p = 1): uint16 counts at factor 1, float32
-    values otherwise, in one buffer that the next bin overwrites."""
-    from .geometry import EVEN_FACTOR_TAPS, source_taps  # geometry imports this module
+class BinCounter:
+    """Counts time bins into a frame's channels, and writes them to EVF files.
 
-    if window.length != cfg.t_frame:
-        raise ValueError(
-            f"window length {window.length} does not match t_frame {cfg.t_frame}"
-        )
-    if pad_multiple < 1:
-        raise ValueError(f"pad_multiple must be >= 1, got {pad_multiple}")
-    t = stream.t
-    if len(stream) and (t[0] < window.t0 or t[-1] >= window.t1):
-        bad = int(t[0]) if t[0] < window.t0 else int(t[-1])
-        raise EventOutsideWindow(f"event at t={bad} outside [{window.t0}, {window.t1})")
-    height, width = stream.geometry.height, stream.geometry.width
-    if factor != 1:  # source_taps also rejects factor < 1 and NotDivisible sizes
-        (y_terms, y_weights), (x_terms, x_weights) = (
-            source_taps(height, factor, method), source_taps(width, factor, method))
-    elif method not in EVEN_FACTOR_TAPS:
-        raise ValueError(f"unknown method {method!r}")
-    out_h, out_w = _padded(height, factor, pad_multiple), _padded(width, factor, pad_multiple)
-    cap = COUNT_MAX if cfg.clip_limit is None else cfg.clip_limit
-    # A bin's events are one contiguous run of the sorted stream and its cells
-    # are its own, so every temporary is a bin's size, not the window's.
-    edges = np.searchsorted(t, window.t0 + cfg.t_bin * np.arange(cfg.n_bins + 1))
-    bins = zip(edges[:-1], edges[1:])
+    It is set up once per geometry, histogram config and resampling recipe:
+    the arguments are checked, and at factor > 1 the term tables are built.
+    `count` then turns one time bin's events into that bin's two channels of
+    the downscaled, padded frame: channel i (p = 0) and B + i (p = 1), as
+    uint16 counts at factor 1 and float32 values otherwise.  A counter holds
+    no per-bin state, so threads may share it; each passes its own `out`
+    buffer, from `buffer`.
+    """
 
-    if factor == 1:
-        id_type = np.uint32 if 2 * out_h * out_w <= 2**32 else np.int64  # u32 sorts ~3x faster
+    def __init__(self, geometry: SensorGeometry, cfg: StackedHistogramConfig, *,
+                 factor: int = 1, method: str = "bilinear", pad_multiple: int = 1):
+        from .geometry import EVEN_FACTOR_TAPS, source_taps  # geometry imports this module
 
-        def count(lo: int, hi: int) -> np.ndarray:
-            cells, counts = np.unique(
-                (stream.p[lo:hi].astype(id_type) * out_h + stream.y[lo:hi]) * out_w
-                + stream.x[lo:hi], return_counts=True)
-            np.minimum(counts, cap, out=counts)
-            channels = np.zeros(2 * out_h * out_w, dtype=np.uint16)
-            channels[cells] = counts
-            return channels.reshape(2, out_h, out_w)
+        if pad_multiple < 1:
+            raise ValueError(f"pad_multiple must be >= 1, got {pad_multiple}")
+        height, width = geometry.height, geometry.width
+        if factor != 1:  # source_taps also rejects factor < 1 and NotDivisible sizes
+            (y_terms, y_weights), (x_terms, x_weights) = (
+                source_taps(height, factor, method), source_taps(width, factor, method))
+        elif method not in EVEN_FACTOR_TAPS:
+            raise ValueError(f"unknown method {method!r}")
+        self.cfg = cfg
+        self.shape = out_h, out_w = (_padded(height, factor, pad_multiple),
+                                     _padded(width, factor, pad_multiple))
+        self.dtype = _frame_dtype(factor)
+        self.size = evf_frame_size(geometry, cfg, factor=factor, pad_multiple=pad_multiple)
+        self._cap = COUNT_MAX if cfg.clip_limit is None else cfg.clip_limit
+        self._resampled = factor != 1
+        if factor == 1:
+            # u32 ids sort ~3x faster than int64.
+            self._id_type = np.uint32 if 2 * out_h * out_w <= 2**32 else np.int64
+            return
+        # Term space (p, y term, x term), plus one row and one column that
+        # collect the unused slots and are never read.  The row table is
+        # indexed by p * height + y, so an event's ids are one gather per axis
+        # and one add.
+        self._source = height, width
+        self._rows, self._cols = rows, cols = out_h * len(y_weights) + 1, out_w * len(x_weights) + 1
+        row = np.where(y_terms < 0, rows - 1, y_terms) * cols
+        self._row = np.concatenate([row, row + rows * cols])
+        self._col = np.where(x_terms < 0, cols - 1, x_terms)
+        # Each class weight is k/256 for an integer k (the taps are k/16 per
+        # axis).  With g the largest power of two dividing every k, a bin's
+        # terms are summed as integers S = sum(count * k/g), and S rounds once
+        # to float32.  The scale g/256 is a power of two, so S * g/256 is then
+        # exact: the value that `downscale` rounds once from float64.
+        k = (np.multiply.outer(y_weights, x_weights) * 256).astype(np.int64)
+        g = int(np.gcd.reduce(k.ravel()))
+        g &= -g
+        self._units, self._scale = k // g, g / 256
 
-        return (out_h, out_w), (count(lo, hi) for lo, hi in bins)
+    def buffer(self) -> np.ndarray:
+        """A (2, height, width) buffer for `count`'s channels."""
+        return np.empty((2, *self.shape), dtype=self.dtype)
 
-    # Term space (p, y term, x term), plus one row and one column that collect
-    # the unused slots and are never read.  The row table is indexed by
-    # p * height + y, so an event's ids are one gather per axis and one add.
-    rows, cols = out_h * len(y_weights) + 1, out_w * len(x_weights) + 1
-    row = np.where(y_terms < 0, rows - 1, y_terms) * cols
-    row = np.concatenate([row, row + rows * cols])
-    col = np.where(x_terms < 0, cols - 1, x_terms)
-    # Each class weight is k/256 for an integer k (the taps are k/16 per axis).
-    # With g the largest power of two dividing every k, a bin's terms are
-    # summed as integers S = sum(count * k/g), and S rounds once to float32.
-    # The scale g/256 is a power of two, so S * g/256 is then exact: the value
-    # that `downscale` rounds once from float64.
-    k = (np.multiply.outer(y_weights, x_weights) * 256).astype(np.int64)
-    g = int(np.gcd.reduce(k.ravel()))
-    g &= -g
-    units, scale = k // g, g / 256
-    # One buffer for every bin: the caller writes each bin before it asks for the next.
-    planes = np.empty((2, out_h, out_w), dtype=np.float32)
+    def count(self, p: np.ndarray, y: np.ndarray, x: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        """Count one time bin's events into `out`, a buffer from `buffer`, and return it."""
+        if self._resampled:
+            return self._resample(p, y, x, out)
+        # Factor 1: one sort counts the bin's events per cell, clipped at the cap.
+        out_h, out_w = self.shape
+        cells, counts = np.unique((p.astype(self._id_type) * out_h + y) * out_w + x,
+                                  return_counts=True)
+        np.minimum(counts, self._cap, out=counts)
+        flat = out.reshape(-1)
+        flat.fill(0)
+        flat[cells] = counts
+        return out
 
-    def resample(lo: int, hi: int) -> np.ndarray:
-        p, y, x = stream.p[lo:hi], stream.y[lo:hi], stream.x[lo:hi]
-        ids = (np.take(row, np.multiply(p, height, dtype=np.uint32) + y, axis=0)[:, :, None]
-               + np.take(col, x, axis=0)[:, None, :])
+    def _resample(self, p: np.ndarray, y: np.ndarray, x: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+        """Factor > 1: one integer bincount of the bin's term ids, then the cap."""
+        (height, width), cap = self._source, self._cap
+        rows, cols = self._rows, self._cols
+        ids = (np.take(self._row, np.multiply(p, height, dtype=np.uint32) + y, axis=0)[:, :, None]
+               + np.take(self._col, x, axis=0)[:, None, :])
         counts = np.bincount(ids.ravel(), minlength=2 * rows * cols)
         grid = counts.reshape(2, rows, cols)
         grid[:, -1], grid[:, :, -1] = 0, 0
@@ -249,17 +284,62 @@ def _bin_channels(stream: EventStream, window: TimeWindow, cfg: StackedHistogram
             hot = np.flatnonzero((counts[ids] > cap).any(axis=(1, 2)))
             _clip_cells(counts, ids[hot],
                         (p[hot].astype(np.int64) * height + y[hot]) * width + x[hot], cap)
-        by_class = grid[:, :-1, :-1].reshape(2, out_h, len(y_weights), out_w, len(x_weights))
+        (out_h, out_w), (ny, nx) = self.shape, self._units.shape
+        by_class = grid[:, :-1, :-1].reshape(2, out_h, ny, out_w, nx)
         acc = by_class[:, :, 0, :, 0]
-        for (a, b), unit in np.ndenumerate(units):
+        for (a, b), unit in np.ndenumerate(self._units):
             plane = by_class[:, :, a, :, b]
             if unit != 1:
                 plane *= unit
             if a or b:
                 acc += plane
-        return np.multiply(acc, scale, out=planes, dtype=np.float32)
+        return np.multiply(acc, self._scale, out=out, dtype=np.float32)
 
-    return (out_h, out_w), (resample(lo, hi) for lo, hi in bins)
+    def create(self, path: str | Path) -> int:
+        """Make `path` this frame's EVF file, all zeros, and return its descriptor.
+
+        An existing regular file is removed first, which costs less than
+        truncating its blocks.  The header is written and the file is
+        extended to its full size with `ftruncate`, so the body is a hole
+        until bins are written into it.
+        """
+        header, _ = _evf_header(self.dtype, (2 * self.cfg.n_bins, *self.shape))
+        with contextlib.suppress(FileNotFoundError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            _pwrite(fd, header, 0)
+            os.ftruncate(fd, self.size)
+        except BaseException:
+            os.close(fd)
+            raise
+        return fd
+
+    def write(self, fd: int, i: int, p: np.ndarray, y: np.ndarray, x: np.ndarray,
+              out: np.ndarray) -> None:
+        """Count time bin i's events into `out` and write its channels into the
+        file `create` made, at their offsets; a channel with no events is left
+        as the file has it, zero."""
+        n = len(p)
+        if not n:
+            return
+        ones = int(np.count_nonzero(p))
+        channels = self.count(p, y, x, out)
+        plane = channels[0].nbytes
+        for polarity, events in ((0, n - ones), (1, ones)):
+            if events:
+                offset = EVF_HEADER_SIZE + (polarity * self.cfg.n_bins + i) * plane
+                _pwrite(fd, channels[polarity].astype(self.dtype.newbyteorder("<"), copy=False),
+                        offset)
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    """Write all of `data` at `offset`, whatever a single `os.pwrite` takes."""
+    view = memoryview(data).cast("B")
+    while view:
+        n = os.pwrite(fd, view, offset)
+        view, offset = view[n:], offset + n
 
 
 def _clip_cells(counts: np.ndarray, ids: np.ndarray, cells: np.ndarray, cap: int) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 import sys
 import warnings
@@ -16,10 +17,11 @@ from evkit.detmetrics import EvalConfig
 from evkit.errors import (BadPolarity, NonMonotoneTimestamp, OutOfBounds, ParseError,
                           ReservedByteSet)
 from evkit.event_core import (Event, EventStream, SensorGeometry, TimeWindow,
-                              partition_windows, validate_stream)
-from evkit.geometry import AffineTransform
-from evkit.representation import (EVF_HEADER_SIZE, FrameTensor, StackedHistogramConfig,
-                                  evf_frame_size, read_evf, save_evf, save_stacked_histogram)
+                              partition_windows, slice_window, validate_stream)
+from evkit.geometry import AffineTransform, downscale, pad_to_multiple
+from evkit.representation import (EVF_HEADER_SIZE, BinCounter, FrameTensor,
+                                  StackedHistogramConfig, evf_frame_size, read_evf, save_evf,
+                                  save_stacked_histogram, stacked_histogram)
 from evkit.sampler import parse_plan
 
 from conftest import make_stream, traced_peak
@@ -236,6 +238,24 @@ class TestConvert:
         cli.main(["convert", str(rec), "--output", str(out2), "--config", str(cfgf),
                   "--threads", "4"])
         assert tree_hash(out1) == tree_hash(out2)
+
+    def test_existing_frames_are_replaced(self, tmp_path):
+        # Sparse windows leave most planes unwritten (holes in a new file), so
+        # a frame written over a longer or a shorter old file must not keep
+        # any of its bytes.
+        rec = tmp_path / "rec.evs"
+        synth_recording(rec, n=40, duration_us=100_000)
+        cfgf = str(tiny_config(tmp_path / "cfg.ini"))
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        used.mkdir()
+        frame_size = evf_frame_size(SensorGeometry(32, 24), StackedHistogramConfig(),
+                                    pad_multiple=32)
+        (used / "frame_000000.evf").write_bytes(b"\xff" * (frame_size + 1_000))
+        (used / "frame_000001.evf").write_bytes(b"\xab" * 100)
+        for out in (fresh, used):
+            assert cli.main(["convert", str(rec), "--output", str(out), "--config", cfgf]) == 0
+        assert len(tree_hash(fresh)) == 3
+        assert tree_hash(used) == tree_hash(fresh)
 
     def test_workers_start_at_most_one_per_window(self, tmp_path, monkeypatch):
         rec = tmp_path / "rec.evs"
@@ -625,6 +645,97 @@ class TestChunkedInput:
             assert peaks[copies] - reading < 2 * window
 
 
+    BIN_CONFIG = "[histogram]\nn_bins = 50\n"  # 1 ms bins: at most CHUNK // 4 events here
+
+    def _bounds(self, tmp_path, rec: Path) -> tuple[int, int]:
+        """One chunk's decode, and one bin: a bin of CHUNK // 4 events viewing
+        a whole chunk's columns, counted and written."""
+        def decode():
+            with codec.Recording(rec) as recording:
+                for chunk in recording.chunks():
+                    del chunk
+
+        cfg = cli.load_config(str(tiny_config(tmp_path / "bin.ini", self.BIN_CONFIG)))
+        counter = BinCounter(self.GEOMETRY, cfg.hist, pad_multiple=cfg.pad_multiple)
+        chunk = make_stream(np.random.default_rng(9), codec.CHUNK, self.GEOMETRY, 1_000)
+        fd = counter.create(tmp_path / "bin.evf")
+
+        def one_bin():
+            p, y, x = (getattr(chunk, f).copy() for f in "pyx")
+            counter.write(fd, 0, *(c[:codec.CHUNK // 4] for c in (p, y, x)), counter.buffer())
+
+        try:
+            return traced_peak(decode), traced_peak(one_bin)
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("chunks", [2, 8.5])
+    def test_memory_is_a_chunk_and_a_bin_whatever_the_window(self, tmp_path, chunks):
+        # One 50 ms window of 2 or 8.5 chunks: convert holds one chunk's decode
+        # and one bin, not the window.
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(make_stream(
+            np.random.default_rng(10), int(chunks * codec.CHUNK), self.GEOMETRY, 50_000)))
+        cfgf = str(tiny_config(tmp_path / "cfg.ini", self.BIN_CONFIG))
+        out = tmp_path / "out"
+        peak = traced_peak(run_ok, ["convert", str(rec), "--output", str(out),
+                                    "--config", cfgf])
+        assert len(list(out.glob("frame_*.evf"))) == 1
+        decode, one_bin = self._bounds(tmp_path, rec)
+        assert peak < decode + one_bin
+
+    def test_memory_at_two_threads_is_a_chunk_and_two_bins(self, tmp_path):
+        # Two 50 ms windows of 4.25 chunks each, so both workers run.
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(make_stream(
+            np.random.default_rng(11), int(8.5 * codec.CHUNK), self.GEOMETRY, 100_000)))
+        cfgf = str(tiny_config(tmp_path / "cfg.ini", self.BIN_CONFIG))
+        peak = traced_peak(run_ok, ["convert", str(rec), "--output", str(tmp_path / "out"),
+                                    "--config", cfgf, "--threads", "2"])
+        decode, one_bin = self._bounds(tmp_path, rec)
+        assert peak < decode + 2 * one_bin
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("extra", ["", "downscale_factor = 2\n"])
+    def test_bins_across_chunk_edges_match_the_staged_frames(self, tmp_path, capsys, extra,
+                                                              threads):
+        # 2.3 chunks over 3.5 windows of 10 bins: bins straddle both chunk
+        # edges, and the last window ends mid-window, so its last five bins
+        # are never streamed.  Each frame is the staged build of its window.
+        stream = make_stream(np.random.default_rng(12), int(2.3 * codec.CHUNK),
+                             self.GEOMETRY, 175_000)
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(stream))
+        cfgf = tiny_config(tmp_path / "cfg.ini", extra)
+        cfg = cli.load_config(str(cfgf))
+        out = tmp_path / "out"
+        rc, err = run_cli(["convert", str(rec), "--output", str(out), "--config", str(cfgf),
+                           "--threads", threads], capsys)
+        assert (rc, err) == (0, "")
+        lines = (out / "index.txt").read_text().splitlines()
+        assert [line.split()[4] for line in lines] == ["partial=0"] * 3 + ["partial=1"]
+        for line in lines:
+            fields = codec.parse_fields(line, 0, ())
+            window = TimeWindow(int(fields["t0"]), int(fields["t1"]))
+            frame = stacked_histogram(slice_window(stream, window), window, cfg.hist)
+            if cfg.downscale_factor > 1:
+                frame = downscale(frame, cfg.downscale_factor, cfg.downscale_method)
+            save_evf(tmp_path / "staged.evf", pad_to_multiple(frame, cfg.pad_multiple)[0])
+            assert ((out / fields["file"]).read_bytes()
+                    == (tmp_path / "staged.evf").read_bytes()), fields["file"]
+        # A fault in the last chunk: the windows before it are written, the index is not.
+        records = np.frombuffer(rec.read_bytes(), codec.EVS_RECORD_DTYPE,
+                                offset=codec.EVS_HEADER_SIZE).copy()
+        records["x"][2 * codec.CHUNK + 5] = 32
+        rec.write_bytes(rec.read_bytes()[:codec.EVS_HEADER_SIZE] + records.tobytes())
+        bad = tmp_path / "bad"
+        rc, err = run_cli(["convert", str(rec), "--output", str(bad), "--config", str(cfgf),
+                           "--threads", threads], capsys)
+        assert rc == 1 and err.startswith("error code=OutOfBounds")
+        assert list(bad.glob("frame_*.evf"))
+        assert not (bad / "index.txt").exists()
+
+
 class TestAugmentCommand:
     def _converted(self, tmp_path) -> tuple[Path, Path, Path]:
         rec = tmp_path / "rec.evs"
@@ -961,7 +1072,7 @@ class TestErrors:
         assert err.startswith('error code=ParseError msg="at index 4 (t=99999999999999999999999')
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, callee", [("convert", "save_stacked_histogram"),
+    @pytest.mark.parametrize("command, callee", [("convert", "BinCounter"),
                                                  ("stats", "read_recording")])
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, command, callee):
         def exhausted(*args, **kwargs):

@@ -76,7 +76,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_convert_bytes_pinned(tmp_path, name, threads):
     config, geometry, counts, seed, expected = CASES[name]

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -253,12 +255,19 @@ class TestStreamWindows:
         # Empty chunks first, in the middle and last.
         empty = s[:0]
         splits.append([empty, s[:1_234], empty, empty, s[1_234:2_000], s[2_000:], empty])
-        for chunks in splits:
-            out = list(stream_windows(chunks, 50_000))
-            assert [w for w, _ in out] == partition_windows(s, 50_000)
-            for w, events in out:
-                assert events == s[w.start:w.stop]
-                assert not events.t.flags.writeable
+        for chunks, n_bins in itertools.product(splits, (1, 4)):
+            t_bin = 50_000 // n_bins
+            out = list(stream_windows(chunks, 50_000, n_bins=n_bins))
+            assert [b.closed for b in out if b.closed] == partition_windows(s, 50_000)
+            # Every bin from the first through the one holding the last event,
+            # each with the whole stream's events between its edges.
+            assert [(b.k, b.i) for b in out] == [divmod(j, n_bins) for j in range(len(out))]
+            edges = np.searchsorted(s.t, t_bin * np.arange(len(out) + 1))
+            assert edges[-2] < edges[-1] == len(s)
+            for b, lo, hi in zip(out, edges[:-1], edges[1:]):
+                for f in "pyx":
+                    assert np.array_equal(getattr(b, f), getattr(s, f)[lo:hi])
+                    assert not getattr(b, f).flags.writeable
 
     @pytest.mark.parametrize("last_t, partial", [(99_999, False), (70_000, True)])
     def test_last_window_across_chunks_partial_flag(self, last_t, partial):
@@ -266,9 +275,48 @@ class TestStreamWindows:
         a = validate_stream([(0, 0, 0, 1), (60_000, 1, 1, 0)], GEN1)
         b = validate_stream([(last_t, 2, 2, 1)], GEN1)
         out = list(stream_windows([a, b], 50_000))
-        assert [(w.window, w.partial) for w, _ in out] == [
+        assert [(b.closed.window, b.closed.partial) for b in out] == [
             (TimeWindow(0, 50_000), False), (TimeWindow(50_000, 100_000), partial)]
-        assert out[-1][1].t.tolist() == [60_000, last_t]
+        assert out[-1].x.tolist() == [1, 2]
+
+    def test_trailing_bins_of_the_last_window_are_not_streamed(self):
+        # 10 ms bins: the stream ends in bin 2 of window 1, which closes it.
+        s = validate_stream([(5, 0, 0, 1), (61_000, 1, 1, 0), (72_000, 2, 2, 1)], GEN1)
+        out = list(stream_windows([s[:2], s[2:]], 50_000, n_bins=5))
+        assert [(b.k, b.i, len(b.p)) for b in out] == [
+            (0, 0, 1), (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (1, 0, 0), (1, 1, 1),
+            (1, 2, 1)]
+        assert [b.closed for b in out if b.closed] == partition_windows(s, 50_000)
+        assert out[-1].closed.partial and out[-1].closed.stop == 3
+
+    def test_no_chunk_is_held_while_the_next_is_read(self, rng):
+        # Bins of 2,500 us over chunks of 500 events: most bins straddle a chunk
+        # edge.  A consumer that drops each bin leaves no earlier chunk alive
+        # when the next is made, and each bin arrives before a later chunk is read.
+        s = make_stream(rng, 3_000, GEN1, 300_000)
+        columns, bins = [], []
+
+        def chunks():
+            for lo in range(0, len(s), 500):
+                assert all(ref() is None for ref in columns)
+                chunk = EventStream(GEN1, *(getattr(s, f)[lo:lo + 500].copy() for f in "txyp"))
+                columns.extend(weakref.ref(getattr(chunk, f)) for f in "txyp")
+                yield chunk
+                del chunk
+
+        for b in stream_windows(chunks(), 50_000, n_bins=20):
+            bins.append((len(columns) // 4, b.p.copy(), b.y.copy(), b.x.copy()))
+            del b
+        edges = np.searchsorted(s.t, 2_500 * np.arange(len(bins) + 1))
+        for (read, *got), lo, hi in zip(bins, edges[:-1], edges[1:]):
+            assert read <= hi // 500 + 1  # the chunk after the bin's last event, at most
+            assert all(np.array_equal(g, getattr(s, f)[lo:hi]) for g, f in zip(got, "pyx"))
+
+    def test_bins_must_divide_the_window(self):
+        s = validate_stream([(0, 0, 0, 1)], GEN1)
+        for n_bins in (0, 3):
+            with pytest.raises(ValueError):
+                list(stream_windows([s], 100, n_bins=n_bins))
 
     def test_later_chunk_past_int64_raises_after_earlier_windows(self):
         # Chunk a's windows end at 2 * t_frame; chunk b's third window would
@@ -277,7 +325,7 @@ class TestStreamWindows:
         a = validate_stream([(0, 0, 0, 1), (t_frame + 1, 1, 1, 0)], GEN1)
         b = validate_stream([(2 * t_frame + 5, 2, 2, 1)], GEN1)
         windows = stream_windows([a, b], t_frame)
-        assert next(windows)[0].window == TimeWindow(0, t_frame)
+        assert next(windows).closed.window == TimeWindow(0, t_frame)
         with pytest.raises(ValueError, match="int64"):
             next(windows)
 
