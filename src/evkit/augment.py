@@ -11,26 +11,32 @@ Video mode freezes the geometric draw for a whole clip and redraws erasure
 per frame.  The clip draw and the per-frame erasure draws use disjoint RNG
 substreams, so the number of frames never perturbs the geometric parameters.
 A clip's first frame takes its draw from `sample_augmentation`, so a
-one-frame clip reproduces frame-mode sampling exactly.  `augment_clip`
-yields each frame as it is augmented, so a clip costs O(frame) memory, not
-O(clip length x frame).
+one-frame clip reproduces frame-mode sampling exactly.  `_clip_draws` is
+that one draw sequence, for `augment_clip` and `save_augmented_clip` alike.
 
 The warp samples bilinearly from a pixel-major copy of the input with a
 one-pixel zero border, so a tap outside the frame reads 0.  Its tap table
 holds the output pixels with a tap inside the frame, and for each the
 bordered index of its tap (0, 0) and the two fractions of its sampling
-point.  `augment_clip` builds one table per clip and warps every frame
-through it.  Every other output pixel is exactly 0.
+point.  One table is built per clip and every frame is warped through it.
+Every other output pixel is exactly 0.  One kernel, `_warp_rows`, fills any
+run of output rows, then erases them; the table is built, and the taps
+summed, BLOCK pixels at a time.
 
-A warped frame costs its float32 output, the bordered copy and fixed buffers
-of BLOCK output pixels: the table is built, and the taps summed, BLOCK
-pixels at a time.
+`augment_clip` yields each frame as it is augmented, so a clip costs its
+frames' inputs and outputs one at a time, not O(clip length x frame).
+`save_augmented_clip` goes from EVF files to EVF files and holds no whole
+frame: each clip reads its frames into one bordered source, band by band,
+and each output is warped and written SLAB bytes of rows at a time.  Its
+memory is the bordered source, the tap table and one slab.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -38,10 +44,12 @@ import numpy as np
 from .codec import AnnotatedBox
 from .errors import ShapeMismatch
 from .geometry import AffineTransform
-from .representation import FrameTensor, check_finite
+from .representation import (FrameTensor, check_finite, create_evf, read_evf_bands,
+                             read_evf_header, write_evf_rows)
 
 Rect = tuple[int, int, int, int]  # top, left, height, width
 BLOCK = 2048  # output pixels per step of the warp, and per slab of its tap-table build
+SLAB = 2**20  # bytes of float32 output rows that `save_augmented_clip` warps and writes at once
 
 
 @dataclass(frozen=True)
@@ -205,7 +213,10 @@ def _warp_taps(aug: SampledAugmentation) -> _WarpTaps:
         x0, y0 = np.floor(sx), np.floor(sy)
         base = ((y0 + 1) * (width + 2) + x0 + 1).astype(np.int64)
         parts.append((pixel[keep], base, (sx - x0)[:, None], (sy - y0)[:, None]))
-    return _WarpTaps(*map(np.concatenate, zip(*parts)))
+    # One field at a time, so the slabs' parts of only one field outlive its join.
+    fields = [list(field) for field in zip(*parts)]
+    del parts
+    return _WarpTaps(*(np.concatenate(fields.pop(0)) for _ in range(len(fields))))
 
 
 def apply_to_frame(
@@ -227,43 +238,75 @@ def apply_to_frame(
     check_finite(frame.values)
     if aug.is_geometric_identity and aug.erasure is None:
         return frame
-    if aug.is_geometric_identity:
-        values = frame.values.copy()
+    if not aug.is_geometric_identity and taps is None:
+        taps = _warp_taps(aug)
+    source = _bordered(frame.shape, frame.values.dtype)
+    _interior(source, aug.height, aug.width)[:] = frame.values.transpose(1, 2, 0)
+    out = np.empty(frame.shape, _output_dtype(aug, frame.values.dtype))
+    _warp_rows(source, aug, None if aug.is_geometric_identity else taps, out, 0)
+    return FrameTensor(out)
+
+
+def _bordered(shape: tuple[int, int, int], dtype: np.dtype) -> np.ndarray:
+    """An all-zero pixel-major source for (C, H, W) frames: (H+2)·(W+2) x C."""
+    c, height, width = shape
+    return np.zeros(((height + 2) * (width + 2), c), dtype)
+
+
+def _interior(source: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The (H, W, C) view of the frame inside a bordered source."""
+    return source.reshape(height + 2, width + 2, -1)[1:-1, 1:-1]
+
+
+def _output_dtype(aug: SampledAugmentation, dtype: np.dtype) -> np.dtype:
+    """A geometric identity keeps the frame's dtype; a warp gives float32."""
+    return np.dtype(dtype if aug.is_geometric_identity else np.float32)
+
+
+def _warp_rows(source: np.ndarray, aug: SampledAugmentation, taps: _WarpTaps | None,
+               out: np.ndarray, top: int) -> bool:
+    """Fill `out`, a C-contiguous (C, R, W) array, with rows [top, top + R) of
+    the draw applied to the frame in `source`, its bordered copy, then erase.
+
+    `taps` is the draw's table, or None for a geometric identity, whose rows
+    are copied.  Returns False when no pixel of the rows samples the frame:
+    they are all 0.
+    """
+    c, n_rows, width = out.shape
+    if taps is None:
+        out[:] = _interior(source, aug.height, width)[top : top + n_rows].transpose(2, 0, 1)
     else:
-        values = _warp_bilinear(frame.values, _warp_taps(aug) if taps is None else taps)
+        first, stop = np.searchsorted(taps.kept, (top * width, (top + n_rows) * width)).tolist()
+        flat = out.reshape(c, -1)
+        flat.fill(0)
+        if first == stop:
+            return False
+        # Each tap reads one run of c values, and a tap outside the frame
+        # reads the zero border.  Taps are gathered in the frame's dtype; the
+        # float64 weight promotes each product exactly as a float64 copy of
+        # the frame would.
+        offsets = (0, 1, width + 2, width + 3)  # taps (0, 0), (0, 1), (1, 0), (1, 1)
+        gather = np.empty((BLOCK, c), dtype=source.dtype)
+        term = np.empty((BLOCK, c))
+        acc = np.empty((BLOCK, c))
+        for lo in range(first, stop, BLOCK):
+            hi = min(lo + BLOCK, stop)
+            m = hi - lo
+            fx, fy = taps.fx[lo:hi], taps.fy[lo:hi]
+            gx, gy = 1.0 - fx, 1.0 - fy
+            acc[:m] = 0.0
+            for offset, weight in zip(offsets, (gx * gy, fx * gy, gx * fy, fx * fy)):
+                # source[offset + i] is row i of the view source[offset:].  Every
+                # tap is inside the bordered source, so mode="clip" changes none;
+                # unlike the default it writes straight into the buffer.
+                np.take(source[offset:], taps.base[lo:hi], axis=0, out=gather[:m], mode="clip")
+                np.multiply(gather[:m], weight, out=term[:m])
+                acc[:m] += term[:m]
+            flat[:, taps.kept[lo:hi] - top * width] = acc[:m].T
     if aug.erasure is not None:
-        top, left, eh, ew = aug.erasure
-        values[:, top : top + eh, left : left + ew] = 0
-    return FrameTensor(values)
-
-
-def _warp_bilinear(values: np.ndarray, taps: _WarpTaps) -> np.ndarray:
-    c, height, width = values.shape
-    # Pixel-major with a one-pixel zero border: each tap reads one run of c
-    # values, and a tap outside the frame reads 0.  Taps are gathered in the
-    # frame's dtype; the float64 weight promotes each product exactly as a
-    # float64 copy of the frame would.
-    source = np.pad(values.transpose(1, 2, 0), ((1, 1), (1, 1), (0, 0))).reshape(-1, c)
-    offsets = (0, 1, width + 2, width + 3)  # taps (0, 0), (0, 1), (1, 0), (1, 1)
-    out = np.zeros((c, height * width), dtype=np.float32)
-    gather = np.empty((BLOCK, c), dtype=source.dtype)
-    term = np.empty((BLOCK, c))
-    acc = np.empty((BLOCK, c))
-    for lo in range(0, taps.kept.size, BLOCK):
-        hi = min(lo + BLOCK, taps.kept.size)
-        m = hi - lo
-        fx, fy = taps.fx[lo:hi], taps.fy[lo:hi]
-        gx, gy = 1.0 - fx, 1.0 - fy
-        acc[:m] = 0.0
-        for offset, weight in zip(offsets, (gx * gy, fx * gy, gx * fy, fx * fy)):
-            # source[offset + i] is row i of the view source[offset:].  Every
-            # tap is inside the bordered source, so mode="clip" changes none;
-            # unlike the default it writes straight into the buffer.
-            np.take(source[offset:], taps.base[lo:hi], axis=0, out=gather[:m], mode="clip")
-            np.multiply(gather[:m], weight, out=term[:m])
-            acc[:m] += term[:m]
-        out[:, taps.kept[lo:hi]] = acc[:m].T
-    return out.reshape(c, height, width)
+        e_top, left, eh, ew = aug.erasure
+        out[:, max(e_top - top, 0) : max(e_top + eh - top, 0), left : left + ew] = 0
+    return True
 
 
 def apply_to_boxes(
@@ -304,6 +347,19 @@ def apply_to_boxes(
         np.flatnonzero(kept).tolist(), *clipped_lo[kept].T.tolist(), *extent[kept].T.tolist())]
 
 
+def _clip_draws(cfg: AugmentConfig, height: int, width: int,
+                rng: np.random.Generator | int | None) -> Iterator[SampledAugmentation]:
+    """A clip's draws, one per frame: the clip's geometric draw and each frame's erasure."""
+    rng = np.random.default_rng(rng)
+    # Frame 0 takes sample_augmentation's draw, whose spawn(2) gives child 0 to
+    # the geometry and child 1 to its erasure.  spawn(1) numbers its children
+    # on from there, so child 1 + k is frame k's erasure however many follow.
+    aug = sample_augmentation(cfg, height, width, rng)
+    while True:
+        yield aug
+        aug = replace(aug, erasure=_draw_erasure(cfg, height, width, rng.spawn(1)[0]))
+
+
 def augment_clip(
     frames: Iterable[FrameTensor],
     boxes_per_frame: Iterable[Sequence[AnnotatedBox]],
@@ -313,23 +369,78 @@ def augment_clip(
     """Video-mode augmentation: one geometric draw for the clip, fresh erasure
     per frame.  Yields (frame, boxes, draw) per frame, pulling each input frame
     only when it is augmented."""
-    rng = np.random.default_rng(rng)
-    shape = None
-    # Frame 0 takes sample_augmentation's draw, whose spawn(2) gives child 0 to
-    # the geometry and child 1 to its erasure.  spawn(1) numbers its children
-    # on from there, so child 1 + k is frame k's erasure however many follow.
+    draws = None
     for frame, boxes in zip(frames, boxes_per_frame, strict=True):
-        if shape is None:
+        if draws is None:
             shape = frame.shape
-            aug = sample_augmentation(cfg, frame.height, frame.width, rng)
+            draws = _clip_draws(cfg, frame.height, frame.width, rng)
+            aug = next(draws)
             taps = None if aug.is_geometric_identity else _warp_taps(aug)
         elif frame.shape != shape:
             raise ShapeMismatch("clip frames must share one shape")
         else:
-            aug = replace(aug, erasure=_draw_erasure(cfg, aug.height, aug.width,
-                                                     rng.spawn(1)[0]))
+            aug = next(draws)
         yield (apply_to_frame(frame, aug, taps),
                apply_to_boxes(boxes, aug, cfg.min_box_area, cfg.min_box_visibility), aug)
         del frame  # so the next frame is read without this one alive
-    if shape is None:
+    if draws is None:
+        raise ValueError("clip must contain at least one frame")
+
+
+def save_augmented_clip(
+    paths: Sequence[str | Path],
+    out_paths: Sequence[str | Path],
+    boxes_per_frame: Iterable[Sequence[AnnotatedBox]],
+    cfg: AugmentConfig,
+    rng: np.random.Generator | int | None,
+) -> Iterator[tuple[list[AnnotatedBox], SampledAugmentation]]:
+    """`augment_clip` from EVF files to EVF files, a slab of rows at a time.
+
+    Frame k is read from `paths[k]`, and `out_paths[k]` gets the bytes of
+    `write_evf` of `augment_clip`'s frame k, made as `create_evf` makes it.
+    Yields (boxes, draw) per frame once its file is written.  Each frame is
+    read and checked, as `read_evf` checks it, before its file is made.
+
+    The clip's frames are read into one bordered source, band by band.  The
+    output is warped and written SLAB bytes of rows at a time; rows that
+    sample no pixel of the frame are never written and stay a hole.  So a
+    clip holds its bordered source, its tap table and one slab.
+    """
+    draws = None
+    for path, out_path, boxes in zip(paths, out_paths, boxes_per_frame, strict=True):
+        with open(path, "rb", buffering=0) as f:
+            dtype, shape = read_evf_header(f)
+            c, height, width = shape
+            rows = max(1, SLAB // (c * width * 4))
+            if draws is not None and shape != clip_shape:
+                for _ in read_evf_bands(f, dtype, shape, rows):
+                    pass  # a non-finite value is reported first, as read_evf reports it
+                raise ShapeMismatch("clip frames must share one shape")
+            native = dtype.newbyteorder("=")
+            if draws is None or source.dtype != native:
+                source = _bordered(shape, native)
+            interior = _interior(source, height, width)
+            for top, band in read_evf_bands(f, dtype, shape, rows):
+                interior[top : top + band.shape[1]] = band.transpose(1, 2, 0)
+            del band  # so the bands' buffer is freed before the warp
+        if draws is None:
+            clip_shape = shape
+            draws = _clip_draws(cfg, height, width, rng)
+            aug = next(draws)
+            taps = None if aug.is_geometric_identity else _warp_taps(aug)
+            slab = np.empty(c * rows * width, np.float32)
+        else:
+            aug = next(draws)
+        out_dtype = _output_dtype(aug, source.dtype)
+        fd = create_evf(out_path, out_dtype, shape)
+        try:
+            for top in range(0, height, rows):
+                out = slab.view(out_dtype)[: c * min(rows, height - top) * width]
+                out = out.reshape(c, -1, width)
+                if _warp_rows(source, aug, taps, out, top):
+                    write_evf_rows(fd, out, top, height)
+        finally:
+            os.close(fd)
+        yield apply_to_boxes(boxes, aug, cfg.min_box_area, cfg.min_box_visibility), aug
+    if draws is None:
         raise ValueError("clip must contain at least one frame")

@@ -31,13 +31,7 @@ from . import codec, detmetrics, sampler
 from .errors import BadHeader, EvkitError, InsufficientSpace, ParseError
 from .event_core import SensorGeometry, WindowSlice, stream_windows, window_count
 from .geometry import EVEN_FACTOR_TAPS, map_boxes
-from .representation import (
-    EVF_MAX_CHANNELS,
-    BinCounter,
-    StackedHistogramConfig,
-    read_evf,
-    save_evf,
-)
+from .representation import EVF_MAX_CHANNELS, BinCounter, StackedHistogramConfig
 
 
 @dataclass(frozen=True)
@@ -339,10 +333,11 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
     # Each frame is read, augmented and written before the next is read.
     for c, (first, rng) in enumerate(zip(starts, children)):
         clip = entries[first : first + clip_len]
-        frames = (read_evf((frames_dir / e["file"]).read_bytes()) for e in clip)
         clip_boxes = [boxes[lo:hi] for lo, hi in box_ranges[first : first + clip_len]]
-        k = first
-        for frame, fb, aug in augmod.augment_clip(frames, clip_boxes, cfg.augment, rng):
+        out_paths = [out_dir / f"aug_{k:06d}.evf" for k in range(first, first + len(clip))]
+        for k, (fb, aug) in enumerate(augmod.save_augmented_clip(
+                [frames_dir / e["file"] for e in clip], out_paths, clip_boxes, cfg.augment, rng),
+                start=first):
             if k == first:
                 affine = ",".join(repr(float(v)) for v in aug.transform.matrix.ravel())
                 tx, ty = aug.translate_px or (None, None)
@@ -355,10 +350,7 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
                 )
             erase = "-" if aug.erasure is None else ",".join(str(v) for v in aug.erasure)
             log_lines.append(f"clip={c} frame={k} erase={erase}")
-            save_evf(out_dir / f"aug_{k:06d}.evf", frame)
-            del frame  # so the next frame is warped without this one alive
             out_boxes.extend(fb)
-            k += 1
     codec.write_annotations(out_dir / "annotations.txt", out_boxes)
     (out_dir / "aug_log.txt").write_text(
         "".join(line + "\n" for line in log_lines), encoding="ascii"

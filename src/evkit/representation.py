@@ -40,15 +40,22 @@ an existing file is replaced, not truncated in place.  Each bin's channels
 are then written with `os.pwrite` at their offsets, and a channel with no
 events is never written: it stays a hole, which reads as zeros.  So no whole
 frame is held, and memory is one bin's counting per writer.
+
+`create_evf` makes such a file for any frame, and `write_evf_rows` writes
+a run of rows of every channel into it; `augment` writes its outputs so.
+`read_evf_header` and `read_evf_bands` read a file back a band of rows at a
+time, with `read_evf`'s checks.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import stat
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -296,25 +303,8 @@ class BinCounter:
         return np.multiply(acc, self._scale, out=out, dtype=np.float32)
 
     def create(self, path: str | Path) -> int:
-        """Make `path` this frame's EVF file, all zeros, and return its descriptor.
-
-        An existing regular file is removed first, which costs less than
-        truncating its blocks.  The header is written and the file is
-        extended to its full size with `ftruncate`, so the body is a hole
-        until bins are written into it.
-        """
-        header, _ = _evf_header(self.dtype, (2 * self.cfg.n_bins, *self.shape))
-        with contextlib.suppress(FileNotFoundError):
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                os.unlink(path)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            _pwrite(fd, header, 0)
-            os.ftruncate(fd, self.size)
-        except BaseException:
-            os.close(fd)
-            raise
-        return fd
+        """Make `path` this frame's EVF file with `create_evf`, and return its descriptor."""
+        return create_evf(path, self.dtype, (2 * self.cfg.n_bins, *self.shape))
 
     def write(self, fd: int, i: int, p: np.ndarray, y: np.ndarray, x: np.ndarray,
               out: np.ndarray) -> None:
@@ -332,6 +322,39 @@ class BinCounter:
                 offset = EVF_HEADER_SIZE + (polarity * self.cfg.n_bins + i) * plane
                 _pwrite(fd, channels[polarity].astype(self.dtype.newbyteorder("<"), copy=False),
                         offset)
+
+
+def create_evf(path: str | Path, dtype: np.dtype, shape: tuple[int, int, int]) -> int:
+    """Make `path` the EVF file of an all-zero (C, H, W) frame of this dtype,
+    opened for writing, and return its descriptor.
+
+    An existing regular file is removed first, which costs less than
+    truncating its blocks.  The header is written and the file is extended
+    to its full size with `ftruncate`, so the body is a hole until values
+    are written into it.
+    """
+    header, body_dtype = _evf_header(dtype, shape)
+    with contextlib.suppress(FileNotFoundError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        _pwrite(fd, header, 0)
+        os.ftruncate(fd, EVF_HEADER_SIZE + math.prod(shape) * body_dtype.itemsize)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def write_evf_rows(fd: int, rows: np.ndarray, top: int, height: int) -> None:
+    """Write a (C, n, W) array as rows [top, top + n) of every channel of the
+    `height`-row frame in the EVF file that `create_evf` made."""
+    c, _, width = rows.shape
+    rows = rows.astype(rows.dtype.newbyteorder("<"), copy=False)
+    for channel in range(c):
+        _pwrite(fd, rows[channel],
+                EVF_HEADER_SIZE + (channel * height + top) * width * rows.itemsize)
 
 
 def _pwrite(fd: int, data, offset: int) -> None:
@@ -421,12 +444,69 @@ def save_evf(path: str | Path, frame: FrameTensor) -> None:
 def read_evf(data: bytes) -> FrameTensor:
     """Parse an EVF container.  The frame views `data` where the host byte order
     allows, so it is not copied; a float body must hold only finite values."""
-    if len(data) < 4 or bytes(data[:4]) != EVF_MAGIC:
+    dtype, shape = _evf_layout(data[:EVF_HEADER_SIZE], len(data))
+    values = np.frombuffer(data, dtype, offset=EVF_HEADER_SIZE).reshape(shape)
+    values = values.astype(dtype.newbyteorder("="), copy=False)
+    check_finite(values)
+    return FrameTensor(values)
+
+
+def read_evf_header(f) -> tuple[np.dtype, tuple[int, int, int]]:
+    """The body dtype and (C, H, W) shape of the EVF file open as `f`, checked
+    as `read_evf` checks them, from its header and its size alone."""
+    fd = f.fileno()
+    return _evf_layout(os.pread(fd, EVF_HEADER_SIZE, 0), os.fstat(fd).st_size)
+
+
+def read_evf_bands(f, dtype: np.dtype, shape: tuple[int, int, int],
+                   rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Read the body of the EVF file open as `f` (of the dtype and shape that
+    `read_evf_header` gave) `rows` rows of every channel at a time.
+
+    Yields (top, band) for each band, a (C, n, W) array of rows [top, top + n)
+    read with one `pread` per channel into one reused buffer.  A float body
+    must hold only finite values: once every band is read, NonFiniteValue
+    names the first non-finite value by flat (C, H, W) index, as `read_evf`
+    does.
+    """
+    c, height, width = shape
+    fd, buffer = f.fileno(), np.empty((c, min(rows, height), width), dtype)
+    first = None  # the smallest flat index of a non-finite value yet, and that value
+    for top in range(0, height, rows):
+        band = buffer[:, : min(rows, height - top)]
+        for channel in range(c):
+            _pread(fd, band[channel], EVF_HEADER_SIZE + (channel * height + top) * width
+                   * dtype.itemsize)
+        if dtype.kind == "f" and not np.isfinite(band).all():
+            # The band's first in channel-major order has its smallest flat index.
+            channel, at = divmod(int(np.argmin(np.isfinite(band))), band[0].size)
+            index = (channel * height + top) * width + at
+            if first is None or index < first[0]:
+                first = index, band[channel].flat[at]
+        yield top, band
+    if first is not None:
+        raise NonFiniteValue(first[0], f"value {first[1]} is not finite")
+
+
+def _pread(fd: int, data: np.ndarray, offset: int) -> None:
+    """Fill `data` from `offset`, whatever a single `os.preadv` takes."""
+    view = memoryview(data).cast("B")
+    while view:
+        n = os.preadv(fd, [view], offset)
+        if not n:
+            raise TruncatedFile(f"file ends at byte {offset}")
+        view, offset = view[n:], offset + n
+
+
+def _evf_layout(head: bytes, size: int) -> tuple[np.dtype, tuple[int, int, int]]:
+    """The body dtype and (C, H, W) shape of an EVF container of `size` bytes
+    whose first bytes are `head`; raises unless the header and size are valid."""
+    if size < 4 or bytes(head[:4]) != EVF_MAGIC:
         raise BadMagic(f"expected {EVF_MAGIC!r}")
-    if len(data) < EVF_HEADER_SIZE:
-        raise TruncatedFile(f"EVF header is {EVF_HEADER_SIZE} bytes, got {len(data)}")
+    if size < EVF_HEADER_SIZE:
+        raise TruncatedFile(f"EVF header is {EVF_HEADER_SIZE} bytes, got {size}")
     # Python ints, so the size arithmetic below cannot wrap.
-    _, code, pad, c, height, width = np.frombuffer(data, EVF_HEADER_DTYPE, 1)[0].tolist()
+    _, code, pad, c, height, width = np.frombuffer(head, EVF_HEADER_DTYPE, 1)[0].tolist()
     if code not in _EVF_DTYPES:
         raise BadHeader(f"unknown dtype code {code}")
     if pad != 0:
@@ -435,13 +515,10 @@ def read_evf(data: bytes) -> FrameTensor:
         raise BadHeader(f"frame shape ({c}, {height}, {width}) has a zero dimension")
     dtype = _EVF_DTYPES[code]
     expected = c * height * width * dtype.itemsize
-    body = len(data) - EVF_HEADER_SIZE
+    body = size - EVF_HEADER_SIZE
     if body != expected:
         raise TruncatedFile(f"body is {body} bytes, expected {expected}")
-    values = np.frombuffer(data, dtype, offset=EVF_HEADER_SIZE).reshape(c, height, width)
-    values = values.astype(dtype.newbyteorder("="), copy=False)
-    check_finite(values)
-    return FrameTensor(values)
+    return dtype, (c, height, width)
 
 
 def check_finite(values: np.ndarray) -> None:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evkit import augment as augmod
 from evkit import cli, codec
 from evkit.augment import AugmentConfig, SampledAugmentation, apply_to_boxes
 from evkit.detmetrics import EvalConfig
@@ -21,7 +22,7 @@ from evkit.event_core import (Event, EventStream, SensorGeometry, TimeWindow,
 from evkit.geometry import AffineTransform, downscale, pad_to_multiple
 from evkit.representation import (EVF_HEADER_SIZE, BinCounter, FrameTensor,
                                   StackedHistogramConfig, evf_frame_size, read_evf, save_evf,
-                                  save_stacked_histogram, stacked_histogram)
+                                  save_stacked_histogram, stacked_histogram, write_evf)
 from evkit.sampler import parse_plan
 
 from conftest import make_stream, traced_peak
@@ -882,6 +883,122 @@ class TestAugmentCommand:
             assert len(list(out.glob("aug_*.evf"))) == 16
             assert read_evf((out / "aug_000000.evf").read_bytes()).values.dtype == np.float32
         assert peaks[1] - peaks[0] < 20 * 256 * 320 * 4
+
+
+class TestStreamedAugment:
+    """`augment` reads a clip's frames into one bordered source and warps and
+    writes each output a slab of rows at a time."""
+
+    ROTATE = "[pipeline]\nclip_len = 3\n[augment]\nrotate_p = 1\n"
+
+    @staticmethod
+    def _float_frames(frames: Path, shape: tuple[int, int, int], n: int) -> None:
+        rng = np.random.default_rng(7)
+        frames.mkdir()
+        for k in range(n):
+            save_evf(frames / f"frame_{k:06d}.evf",
+                     FrameTensor(rng.uniform(0, 4, shape).astype(np.float32)))
+        (frames / "index.txt").write_text("".join(
+            f"window={k} t0={k * 50_000} t1={(k + 1) * 50_000} file=frame_{k:06d}.evf\n"
+            for k in range(n)))
+
+    @staticmethod
+    def _gen1_frames(tmp_path: Path, n: int) -> Path:
+        rec = tmp_path / "rec.evs"
+        stream = make_stream(np.random.default_rng(n), 2_000 * n, SensorGeometry(304, 240),
+                             50_000 * n)
+        rec.write_bytes(codec.encode_evs(stream))
+        frames = tmp_path / "frames"
+        run_ok(["convert", str(rec), "--output", str(frames)])
+        return frames
+
+    def _augment_peak(self, tmp_path: Path, frames: Path, seed: int) -> tuple[int, int]:
+        """The traced peak of a rotation-draw video augment of `frames`, and
+        the bytes of that draw's tap table."""
+        cfgf = tmp_path / "rotate.ini"
+        cfgf.write_text(self.ROTATE)
+        peak = traced_peak(run_ok, ["augment", str(frames), "--output", str(tmp_path / "aug"),
+                                    "--mode", "video", "--config", str(cfgf),
+                                    "--seed", str(seed)])
+        _, height, width = read_evf((frames / "frame_000000.evf").read_bytes()).shape
+        aug = augmod.sample_augmentation(cli.load_config(str(cfgf)).augment, height, width,
+                                         np.random.default_rng(seed).spawn(1)[0])
+        return peak, sum(a.nbytes for a in augmod._warp_taps(aug))
+
+    def test_gen1_memory_is_source_table_and_a_slab(self, tmp_path):
+        # uint16 gen1 frames: the bordered source, the tap table, and a margin
+        # for one SLAB of output rows, the warp's BLOCK buffers (0.7 MB at 20
+        # channels) and the command's own state; not the frame three times over.
+        frames = self._gen1_frames(tmp_path, 3)
+        peak, table = self._augment_peak(tmp_path, frames, 5)
+        source = 20 * 258 * 322 * 2
+        assert peak < source + table + augmod.SLAB + 1.5 * 2**20
+
+    def test_gen4_like_memory_is_about_one_bordered_frame(self, tmp_path):
+        shape = (20, 384, 640)
+        frames = tmp_path / "frames"
+        self._float_frames(frames, shape, 2)
+        peak, table = self._augment_peak(tmp_path, frames, 6)
+        bordered = 20 * 386 * 642 * 4
+        assert peak < 1.1 * bordered + table + 2 * 2**20
+
+    def test_existing_outputs_are_replaced(self, tmp_path):
+        # Scaled by 0.5 about the center, the top and bottom slabs sample
+        # nothing and stay holes, so a file written into in place would keep
+        # its old bytes there.  One old file is longer than a frame, one shorter.
+        frames = self._gen1_frames(tmp_path, 3)
+        cfgf = tmp_path / "half.ini"
+        cfgf.write_text("[augment]\nscale_p = 1\nscale_range_min = 0.5\n"
+                        "scale_range_max = 0.5\nerase_p = 1\n")
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        reused.mkdir()
+        (reused / "aug_000000.evf").write_bytes(b"\xff" * (8 << 20))
+        (reused / "aug_000001.evf").write_bytes(b"\xff" * 100)
+        for out in (fresh, reused):
+            run_ok(["augment", str(frames), "--output", str(out), "--mode", "video",
+                    "--config", str(cfgf)])
+        assert tree_hash(reused) == tree_hash(fresh)
+        rows = augmod.SLAB // (20 * 320 * 4)
+        assert rows < 64  # the first slab lies above the scaled frame
+        assert not read_evf((fresh / "aug_000000.evf").read_bytes()).values[:, :rows].any()
+
+    @pytest.mark.parametrize("fault", ["truncated", "magic", "non-finite"])
+    def test_bad_frame_stops_after_the_frames_before_it(self, tmp_path, capsys, fault):
+        # Float frames of more than one band: the third frame is bad.
+        c, width = 2, 512
+        height = augmod.SLAB // (c * width * 4) + 16
+        frames = tmp_path / "frames"
+        self._float_frames(frames, (c, height, width), 3)
+        bad = frames / "frame_000002.evf"
+        data = bad.read_bytes()
+        body = c * height * width * 4
+        if fault == "truncated":
+            bad.write_bytes(data[:-2])
+            expected = f'TruncatedFile msg="body is {body - 2} bytes, expected {body}"'
+        elif fault == "magic":
+            bad.write_bytes(b"EVF2" + data[4:])
+            expected = "BadMagic msg=\"expected b'EVF1'\""
+        else:
+            values = read_evf(data).values.copy()
+            values[1, 0, 3] = np.nan  # in the first band
+            values[0, height - 2, 5] = -np.inf  # in the second band, at a lower flat index
+            save_evf(bad, FrameTensor(values))
+            expected = (f'NonFiniteValue msg="at index {(height - 2) * width + 5} '
+                        '(value -inf is not finite)"')
+        cfgf = tmp_path / "rotate.ini"
+        cfgf.write_text(self.ROTATE)
+        out = tmp_path / "aug"
+        capsys.readouterr()
+        rc = cli.main(["augment", str(frames), "--output", str(out), "--mode", "video",
+                       "--config", str(cfgf), "--seed", "4"])
+        assert (rc, capsys.readouterr().err) == (1, f"error code={expected}\n")
+        assert not (out / "aug_000002.evf").exists()
+        # The frames before it are those of the in-memory augmentation.
+        good = [read_evf((frames / f"frame_{k:06d}.evf").read_bytes()) for k in range(2)]
+        clip = augmod.augment_clip(good, [[], []], cli.load_config(str(cfgf)).augment,
+                                   np.random.default_rng(4).spawn(1)[0])
+        for k, (frame, _, _) in enumerate(clip):
+            assert (out / f"aug_{k:06d}.evf").read_bytes() == write_evf(frame)
 
 
 class TestPlanCommand:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import os
 import sys
 
 import numpy as np
@@ -287,6 +288,41 @@ class TestHistogram2d:
 
 
 class TestEvfContainer:
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+    def test_rows_written_and_read_in_bands(self, tmp_path, rng, dtype):
+        # Bands of 3 rows over 7: the last band is short, and rows 3-5 are
+        # never written, so they stay a hole that reads as 0.
+        values = (rng.uniform(1, 9, (4, 7, 5)) * 1000).astype(dtype)
+        values[:, 3:6] = 0
+        path = tmp_path / "f.evf"
+        path.write_bytes(b"x" * 999)  # replaced, not written into
+        fd = rep.create_evf(path, np.dtype(dtype), values.shape)
+        try:
+            for top in (0, 6):
+                rep.write_evf_rows(fd, values[:, top : top + 3].copy(), top, 7)
+        finally:
+            os.close(fd)
+        assert path.read_bytes() == rep.write_evf(rep.FrameTensor(values))
+        with open(path, "rb") as f:
+            dtype_, shape = rep.read_evf_header(f)
+            assert shape == values.shape
+            bands = [(top, band.copy()) for top, band in rep.read_evf_bands(f, dtype_, shape, 3)]
+        assert [top for top, _ in bands] == [0, 3, 6]
+        assert np.array_equal(np.concatenate([b for _, b in bands], axis=1), values)
+
+    def test_bands_name_the_first_non_finite_value(self, tmp_path):
+        values = np.zeros((2, 6, 4), dtype=np.float32)
+        values[1, 0, 2] = np.nan  # in the first band
+        values[0, 4, 1] = np.inf  # in the second, at a lower flat index
+        path = tmp_path / "f.evf"
+        rep.save_evf(path, rep.FrameTensor(values))
+        with open(path, "rb") as f, pytest.raises(NonFiniteValue) as exc:
+            for _ in rep.read_evf_bands(f, *rep.read_evf_header(f), 3):
+                pass
+        with pytest.raises(NonFiniteValue) as whole:
+            rep.read_evf(path.read_bytes())
+        assert str(exc.value) == str(whole.value) == "at index 17 (value inf is not finite)"
+
     def test_u16_roundtrip(self, rng):
         values = rng.integers(0, 2**16, (20, 16, 12)).astype(np.uint16)
         frame = rep.FrameTensor(values)
