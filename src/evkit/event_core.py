@@ -11,8 +11,8 @@ consecutive chunks, into windows of equal time bins, and hands out each
 bin's columns as soon as a later event closes the bin.  A bin inside one
 chunk is a view of it.  Only a bin straddling a chunk edge is joined, from
 copies, so no chunk is held while the next is read.  `partition_windows`,
-`representation.stacked_histogram`, `save_stacked_histogram` and `convert`
-all read their windows from it.
+`representation.stacked_histogram` and `convert` all read their windows
+from it.
 """
 
 from __future__ import annotations

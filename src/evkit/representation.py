@@ -14,8 +14,7 @@ A `BinCounter` is set up once per geometry and recipe: it checks the
 arguments and, at factor > 1, builds the term tables below.  It then counts
 one time bin's (p, y, x) columns, as `event_core.stream_windows` hands them
 out, into that bin's two channels of the downscaled, padded frame.
-`convert`, `save_stacked_histogram` and `stacked_histogram` all count their
-bins with it.
+`convert` and `stacked_histogram` both count their bins with it.
 
 At factor 1 a bin's events are counted per occupied cell with one sort, the
 counts are clipped and put straight into the bin's two channels of the
@@ -144,48 +143,6 @@ def stacked_histogram(
     the total count equals the number of events (saturation at 65535 aside).
     """
     counter = BinCounter(stream.geometry, cfg)
-    _check_window(stream, window, cfg)
-    values = np.zeros((2, cfg.n_bins, *counter.shape), dtype=np.uint16)
-    out = counter.buffer()
-    for b in stream_windows([stream], cfg.t_frame, window.t0, cfg.n_bins):
-        if len(b.p):
-            values[:, b.i] = counter.count(b.p, b.y, b.x, out)
-    return FrameTensor(values.reshape(2 * cfg.n_bins, *counter.shape))
-
-
-def save_stacked_histogram(
-    path: str | Path,
-    stream: EventStream,
-    window: TimeWindow,
-    cfg: StackedHistogramConfig,
-    *,
-    factor: int,
-    method: str,
-    pad_multiple: int,
-) -> None:
-    """Write a window's downscaled, padded frame to `path` as EVF.
-
-    The bytes are those of `write_evf` of `pad_to_multiple(downscale(
-    stacked_histogram(stream, window, cfg), factor, method), pad_multiple)`,
-    with no `downscale` at factor 1, where the frame stays uint16.  The file
-    is made as `BinCounter.create` makes it, and each time bin is counted and
-    written with `BinCounter.write`, so no whole frame is held.  The
-    arguments are checked before the file is created.
-    """
-    counter = BinCounter(stream.geometry, cfg, factor=factor, method=method,
-                         pad_multiple=pad_multiple)
-    _check_window(stream, window, cfg)
-    fd = counter.create(path)
-    try:
-        out = counter.buffer()
-        for b in stream_windows([stream], cfg.t_frame, window.t0, cfg.n_bins):
-            counter.write(fd, b.i, b.p, b.y, b.x, out)
-    finally:
-        os.close(fd)
-
-
-def _check_window(stream: EventStream, window: TimeWindow, cfg: StackedHistogramConfig) -> None:
-    """Raise unless `window` is t_frame long and holds every event of `stream`."""
     if window.length != cfg.t_frame:
         raise ValueError(
             f"window length {window.length} does not match t_frame {cfg.t_frame}"
@@ -194,11 +151,12 @@ def _check_window(stream: EventStream, window: TimeWindow, cfg: StackedHistogram
     if len(stream) and (t[0] < window.t0 or t[-1] >= window.t1):
         bad = int(t[0]) if t[0] < window.t0 else int(t[-1])
         raise EventOutsideWindow(f"event at t={bad} outside [{window.t0}, {window.t1})")
-
-
-def _frame_dtype(factor: int) -> np.dtype:
-    """uint16 counts at factor 1, float32 resampled values otherwise."""
-    return np.dtype(np.uint16 if factor == 1 else np.float32)
+    values = np.zeros((2, cfg.n_bins, *counter.shape), dtype=np.uint16)
+    out = counter.buffer()
+    for b in stream_windows([stream], cfg.t_frame, window.t0, cfg.n_bins):
+        if len(b.p):
+            values[:, b.i] = counter.count(b.p, b.y, b.x, out)
+    return FrameTensor(values.reshape(2 * cfg.n_bins, *counter.shape))
 
 
 class BinCounter:
@@ -228,8 +186,8 @@ class BinCounter:
         self.cfg = cfg
         self.shape = out_h, out_w = (_padded(height, factor, pad_multiple),
                                      _padded(width, factor, pad_multiple))
-        self.dtype = _frame_dtype(factor)
-        self.size = evf_frame_size(geometry, cfg, factor=factor, pad_multiple=pad_multiple)
+        self.dtype = np.dtype(np.uint16 if factor == 1 else np.float32)
+        self.size = EVF_HEADER_SIZE + 2 * cfg.n_bins * out_h * out_w * self.dtype.itemsize
         self._cap = COUNT_MAX if cfg.clip_limit is None else cfg.clip_limit
         self._resampled = factor != 1
         if factor == 1:
@@ -382,13 +340,6 @@ def _padded(n: int, factor: int, pad_multiple: int) -> int:
     return n + -n % pad_multiple
 
 
-def evf_frame_size(geometry: SensorGeometry, cfg: StackedHistogramConfig, *,
-                   factor: int = 1, pad_multiple: int = 1) -> int:
-    """Bytes of the EVF file that `save_stacked_histogram` writes with these arguments."""
-    height, width = (_padded(n, factor, pad_multiple) for n in (geometry.height, geometry.width))
-    return EVF_HEADER_SIZE + 2 * cfg.n_bins * height * width * _frame_dtype(factor).itemsize
-
-
 def histogram2d(stream: EventStream, window: TimeWindow) -> FrameTensor:
     """Per-polarity event counts over the whole window: a (2, H, W) frame."""
     cfg = StackedHistogramConfig(t_frame=window.length, n_bins=1)
@@ -421,24 +372,11 @@ def _evf_header(dtype: np.dtype, shape: tuple[int, int, int]) -> tuple[bytes, np
     return header.tobytes(), _EVF_DTYPES[code]
 
 
-def _evf_parts(frame: FrameTensor) -> tuple[bytes, np.ndarray]:
-    """The EVF header and the values in file order."""
-    header, body_dtype = _evf_header(frame.values.dtype, frame.shape)
-    return header, np.ascontiguousarray(frame.values, dtype=body_dtype)
-
-
 def write_evf(frame: FrameTensor) -> bytes:
     """Serialize to the flat little-endian EVF container (bit-exact)."""
-    header, values = _evf_parts(frame)
+    header, body_dtype = _evf_header(frame.values.dtype, frame.shape)
+    values = np.ascontiguousarray(frame.values, dtype=body_dtype)
     return b"".join((header, values.data))  # one copy of the values
-
-
-def save_evf(path: str | Path, frame: FrameTensor) -> None:
-    """Write `write_evf(frame)` to `path` from the frame's own buffer, with no copy."""
-    header, values = _evf_parts(frame)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(values.data)
 
 
 def read_evf(data: bytes) -> FrameTensor:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written loop-by-loop in plain Python
 (or with trivial numpy bookkeeping), separate from the library's
-vectorized code paths.
+vectorized code paths.  `convert_window` is the exception: it runs
+convert's own writer, so that its bytes can be checked against them.
 """
 
 from __future__ import annotations
@@ -10,8 +11,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 
 import numpy as np
+
+from evkit.event_core import stream_windows
+from evkit.representation import BinCounter
 
 
 def bucket_counts(timestamps, t_frame, t_start, n_windows):
@@ -31,6 +36,23 @@ def stacked_counts(events, t0, t_bin, n_bins, height, width):
         key = (int(p), i, int(y), int(x))
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def convert_window(path, stream, window, cfg, *, factor=1, method="bilinear",
+                   pad_multiple=1):
+    """Write the frame of `stream`, whose events all lie in `window`, to `path`
+    as `evkit convert` writes each window: `BinCounter.create`, then
+    `BinCounter.write` of every bin that `stream_windows` hands out."""
+    counter = BinCounter(stream.geometry, cfg, factor=factor, method=method,
+                         pad_multiple=pad_multiple)
+    fd = counter.create(path)
+    try:
+        out = counter.buffer()
+        for b in stream_windows([stream], cfg.t_frame, window.t0, cfg.n_bins):
+            assert b.k == 0, "event outside the window"
+            counter.write(fd, b.i, b.p, b.y, b.x, out)
+    finally:
+        os.close(fd)
 
 
 # --- resampling ------------------------------------------------------------------

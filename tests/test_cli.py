@@ -21,11 +21,11 @@ from evkit.event_core import (Event, EventStream, SensorGeometry, TimeWindow,
                               partition_windows, slice_window, validate_stream)
 from evkit.geometry import AffineTransform, downscale, pad_to_multiple
 from evkit.representation import (EVF_HEADER_SIZE, BinCounter, FrameTensor,
-                                  StackedHistogramConfig, evf_frame_size, read_evf, save_evf,
-                                  save_stacked_histogram, stacked_histogram, write_evf)
+                                  StackedHistogramConfig, read_evf, stacked_histogram, write_evf)
 from evkit.sampler import parse_plan
 
 from conftest import make_stream, traced_peak
+from oracles import convert_window
 
 
 def synth_recording(path: Path, seed=0, n=20_000, duration_us=1_000_000,
@@ -249,8 +249,8 @@ class TestConvert:
         cfgf = str(tiny_config(tmp_path / "cfg.ini"))
         fresh, used = tmp_path / "fresh", tmp_path / "used"
         used.mkdir()
-        frame_size = evf_frame_size(SensorGeometry(32, 24), StackedHistogramConfig(),
-                                    pad_multiple=32)
+        frame_size = BinCounter(SensorGeometry(32, 24), StackedHistogramConfig(),
+                                pad_multiple=32).size
         (used / "frame_000000.evf").write_bytes(b"\xff" * (frame_size + 1_000))
         (used / "frame_000001.evf").write_bytes(b"\xab" * 100)
         for out in (fresh, used):
@@ -323,16 +323,16 @@ class TestConvert:
         base = make_stream(np.random.default_rng(4), 600_000, cfg.geometry, cfg.hist.t_frame)
         window = TimeWindow(0, cfg.hist.t_frame)
 
-        def convert_window():
+        def write_window():
             events = EventStream(base.geometry, *(getattr(base, f).copy() for f in "txyp"))
-            save_stacked_histogram(tmp_path / "f.evf", events, window, cfg.hist,
-                                   factor=cfg.downscale_factor, method=cfg.downscale_method,
-                                   pad_multiple=cfg.pad_multiple)
+            convert_window(tmp_path / "f.evf", events, window, cfg.hist,
+                           factor=cfg.downscale_factor, method=cfg.downscale_method,
+                           pad_multiple=cfg.pad_multiple)
 
-        frame = evf_frame_size(cfg.geometry, cfg.hist, factor=cfg.downscale_factor,
-                               pad_multiple=cfg.pad_multiple) - EVF_HEADER_SIZE
+        frame = BinCounter(cfg.geometry, cfg.hist, factor=cfg.downscale_factor,
+                           pad_multiple=cfg.pad_multiple).size - EVF_HEADER_SIZE
         events = sum(getattr(base, f).nbytes for f in "txyp")
-        assert traced_peak(convert_window) < events + frame // 2
+        assert traced_peak(write_window) < events + frame // 2
         assert (tmp_path / "f.evf").stat().st_size == frame + EVF_HEADER_SIZE
 
     def test_dat_input(self, tmp_path):
@@ -634,9 +634,9 @@ class TestChunkedInput:
         def build_window():
             events = EventStream(self.GEOMETRY, *(getattr(stream, f)[largest.start:largest.stop]
                                                   .copy() for f in "txyp"))
-            save_stacked_histogram(tmp_path / "window.evf", events, largest.window, cfg.hist,
-                                   factor=cfg.downscale_factor, method=cfg.downscale_method,
-                                   pad_multiple=cfg.pad_multiple)
+            convert_window(tmp_path / "window.evf", events, largest.window, cfg.hist,
+                           factor=cfg.downscale_factor, method=cfg.downscale_method,
+                           pad_multiple=cfg.pad_multiple)
 
         window = traced_peak(build_window)
         # Above what reading a chunk takes (the stats peak), two threads hold
@@ -721,9 +721,8 @@ class TestChunkedInput:
             frame = stacked_histogram(slice_window(stream, window), window, cfg.hist)
             if cfg.downscale_factor > 1:
                 frame = downscale(frame, cfg.downscale_factor, cfg.downscale_method)
-            save_evf(tmp_path / "staged.evf", pad_to_multiple(frame, cfg.pad_multiple)[0])
             assert ((out / fields["file"]).read_bytes()
-                    == (tmp_path / "staged.evf").read_bytes()), fields["file"]
+                    == write_evf(pad_to_multiple(frame, cfg.pad_multiple)[0])), fields["file"]
         # A fault in the last chunk: the windows before it are written, the index is not.
         records = np.frombuffer(rec.read_bytes(), codec.EVS_RECORD_DTYPE,
                                 offset=codec.EVS_HEADER_SIZE).copy()
@@ -896,8 +895,8 @@ class TestStreamedAugment:
         rng = np.random.default_rng(7)
         frames.mkdir()
         for k in range(n):
-            save_evf(frames / f"frame_{k:06d}.evf",
-                     FrameTensor(rng.uniform(0, 4, shape).astype(np.float32)))
+            (frames / f"frame_{k:06d}.evf").write_bytes(
+                write_evf(FrameTensor(rng.uniform(0, 4, shape).astype(np.float32))))
         (frames / "index.txt").write_text("".join(
             f"window={k} t0={k * 50_000} t1={(k + 1) * 50_000} file=frame_{k:06d}.evf\n"
             for k in range(n)))
@@ -982,7 +981,7 @@ class TestStreamedAugment:
             values = read_evf(data).values.copy()
             values[1, 0, 3] = np.nan  # in the first band
             values[0, height - 2, 5] = -np.inf  # in the second band, at a lower flat index
-            save_evf(bad, FrameTensor(values))
+            bad.write_bytes(write_evf(FrameTensor(values)))
             expected = (f'NonFiniteValue msg="at index {(height - 2) * width + 5} '
                         '(value -inf is not finite)"')
         cfgf = tmp_path / "rotate.ini"
@@ -1104,7 +1103,8 @@ class TestErrors:
         frames.mkdir()
         other.mkdir()
         for d in (frames, other):
-            save_evf(d / "frame_000000.evf", FrameTensor(np.ones((2, 4, 6), dtype=np.uint16)))
+            (d / "frame_000000.evf").write_bytes(
+                write_evf(FrameTensor(np.ones((2, 4, 6), dtype=np.uint16))))
         for name in ("../o/frame_000000.evf", str(other / "frame_000000.evf")):
             (frames / "index.txt").write_text(
                 "window=0 t0=0 t1=50000 file=frame_000000.evf\n"
@@ -1133,7 +1133,7 @@ class TestErrors:
         frames.mkdir()
         values = np.zeros((2, 4, 6), dtype=np.float32)
         values[1, 3, 5] = np.nan
-        save_evf(frames / "frame_000000.evf", FrameTensor(values))
+        (frames / "frame_000000.evf").write_bytes(write_evf(FrameTensor(values)))
         (frames / "index.txt").write_text("window=0 t0=0 t1=50000 file=frame_000000.evf\n")
         rc = cli.main(["augment", str(frames), "--output", str(tmp_path / "aug")])
         assert rc == 1
@@ -1159,7 +1159,7 @@ class TestErrors:
         for c, h, w in np.ndindex(3, 3, 3):
             frames = tmp_path / f"frames_{c}{h}{w}"
             frames.mkdir()
-            save_evf(frames / "f.evf", FrameTensor(np.ones((c, h, w), dtype=dtype)))
+            (frames / "f.evf").write_bytes(write_evf(FrameTensor(np.ones((c, h, w), dtype=dtype))))
             (frames / "index.txt").write_text("window=0 t0=0 t1=50000 file=f.evf\n")
             rc = cli.main(["augment", str(frames), "--output", str(tmp_path / f"aug_{c}{h}{w}"),
                            "--config", str(cfgf)])

@@ -14,7 +14,7 @@ from evkit.event_core import Event, EventStream, SensorGeometry, TimeWindow, val
 from evkit.geometry import EVEN_FACTOR_TAPS, downscale, pad_to_multiple
 
 from conftest import make_stream
-from oracles import stacked_counts
+from oracles import convert_window, stacked_counts
 
 GEOM = SensorGeometry(32, 24)
 
@@ -100,7 +100,8 @@ class TestStackedHistogram:
 
 
 class TestDownscaledPaddedLayout:
-    """The saver writes what downscale and pad_to_multiple make of the frame."""
+    """Convert's window writer writes what downscale and pad_to_multiple make
+    of the frame."""
 
     GEOMETRY = SensorGeometry(36, 24)  # divisible by 1-4; no pad of 7 divides it
 
@@ -135,8 +136,8 @@ class TestDownscaledPaddedLayout:
         path = tmp_path / "f.evf"
         for name, stream in self._windows(rng).items():
             for multiple in (1, 7):
-                rep.save_stacked_histogram(path, stream, window, cfg, factor=factor,
-                                           method=method, pad_multiple=multiple)
+                convert_window(path, stream, window, cfg, factor=factor, method=method,
+                               pad_multiple=multiple)
                 assert path.read_bytes() == self._expected(
                     stream, window, cfg, factor, method, multiple), (name, multiple)
 
@@ -144,18 +145,15 @@ class TestDownscaledPaddedLayout:
     @pytest.mark.parametrize("factor", [1, 2, 3])
     @pytest.mark.parametrize("method", sorted(EVEN_FACTOR_TAPS))
     def test_saver_writes_the_frame_bytes(self, rng, tmp_path, method, factor, clip_limit):
-        # A pad wider than the frame's rows: the file equals save_evf of the oracle frame.
+        # A pad wider than the frame's rows.
         cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=4, clip_limit=clip_limit)
         window = TimeWindow(0, 1_000)
+        path = tmp_path / "f.evf"
         for name, stream in self._windows(rng).items():
-            frame = rep.stacked_histogram(stream, window, cfg)
-            if factor > 1:
-                frame = downscale(frame, factor, method)
-            rep.save_evf(tmp_path / "frame.evf", pad_to_multiple(frame, 32)[0])
-            rep.save_stacked_histogram(tmp_path / "bins.evf", stream, window, cfg,
-                                       factor=factor, method=method, pad_multiple=32)
-            assert ((tmp_path / "bins.evf").read_bytes()
-                    == (tmp_path / "frame.evf").read_bytes()), name
+            convert_window(path, stream, window, cfg, factor=factor, method=method,
+                           pad_multiple=32)
+            assert path.read_bytes() == self._expected(stream, window, cfg, factor, method,
+                                                       32), name
 
     def _clip_runs(self, tmp_path, monkeypatch, cells, method, clip_limit) -> int:
         """Save a one-bin window at factor 2 with `count` events (p = 1) at each
@@ -170,8 +168,7 @@ class TestDownscaledPaddedLayout:
                             or clip_cells(*args))
         cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=1, clip_limit=clip_limit)
         window = TimeWindow(0, 1_000)
-        rep.save_stacked_histogram(tmp_path / "f.evf", stream, window, cfg, factor=2,
-                                   method=method, pad_multiple=1)
+        convert_window(tmp_path / "f.evf", stream, window, cfg, factor=2, method=method)
         assert (tmp_path / "f.evf").read_bytes() == self._expected(stream, window, cfg, 2,
                                                                    method, 1)
         return len(calls)
@@ -205,43 +202,22 @@ class TestDownscaledPaddedLayout:
         t = np.repeat(7_000 + np.array([0, 249, 250, 499, 500, 749, 750, 999]), 3)
         k = np.arange(t.size)
         stream = EventStream(g, t, (5 * k) % g.width, (7 * k) % g.height, k % 2)
-        rep.save_stacked_histogram(tmp_path / "f.evf", stream, window, cfg, factor=factor,
-                                   method="bilinear", pad_multiple=5)
+        convert_window(tmp_path / "f.evf", stream, window, cfg, factor=factor, pad_multiple=5)
         assert (tmp_path / "f.evf").read_bytes() == self._expected(
             stream, window, cfg, factor, "bilinear", 5)
 
-    @pytest.mark.parametrize("window, kwargs, error", [
-        (TimeWindow(0, 1_000), {}, EventOutsideWindow),  # the event is at t=1_500
-        (TimeWindow(1_000, 3_000), {}, ValueError),  # not t_frame long
-        (TimeWindow(1_000, 2_000), {"pad_multiple": 0}, ValueError),
-        (TimeWindow(1_000, 2_000), {"factor": 5}, NotDivisible),
-        (TimeWindow(1_000, 2_000), {"method": "area"}, ValueError),
-    ])
-    def test_saver_checks_before_creating_the_file(self, tmp_path, window, kwargs, error):
-        cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=4)
-        stream = validate_stream([Event(1_500, 3, 4, 1)], self.GEOMETRY)
-        path = tmp_path / "f.evf"
-        with pytest.raises(error):
-            rep.save_stacked_histogram(path, stream, window, cfg, **{
-                "factor": 1, "method": "bilinear", "pad_multiple": 1, **kwargs})
-        assert not path.exists()
-
-    def test_bad_arguments(self, tmp_path):
+    def test_bad_arguments(self):
         cfg = rep.StackedHistogramConfig(t_frame=1_000, n_bins=1)
-        s = validate_stream([], GEOM)  # 32x24
-        window = TimeWindow(0, 1_000)
-        path = tmp_path / "f.evf"
-        for kwargs, error in [({"factor": 5}, NotDivisible),
-                              ({"factor": 0}, ValueError),
-                              ({"factor": 2, "method": "area"}, ValueError),
-                              ({"method": "area"}, ValueError),
-                              ({"pad_multiple": 0}, ValueError)]:
-            with pytest.raises(error):
-                rep.save_stacked_histogram(path, s, window, cfg, **{
-                    "factor": 1, "method": "bilinear", "pad_multiple": 1, **kwargs})
-            assert not path.exists(), kwargs
-        with pytest.raises(TypeError):  # resampled frames are built only by the saver
-            rep.stacked_histogram(s, window, cfg, factor=2)
+        for geometry in (GEOM, self.GEOMETRY):  # 32x24 and 36x24
+            for kwargs, error in [({"factor": 5}, NotDivisible),
+                                  ({"factor": 0}, ValueError),
+                                  ({"factor": 2, "method": "area"}, ValueError),
+                                  ({"method": "area"}, ValueError),
+                                  ({"pad_multiple": 0}, ValueError)]:
+                with pytest.raises(error):
+                    rep.BinCounter(geometry, cfg, **kwargs)
+        with pytest.raises(TypeError):  # resampled frames are built only by BinCounter
+            rep.stacked_histogram(validate_stream([], GEOM), TimeWindow(0, 1_000), cfg, factor=2)
 
 
 class TestFrameTensor:
@@ -315,7 +291,7 @@ class TestEvfContainer:
         values[1, 0, 2] = np.nan  # in the first band
         values[0, 4, 1] = np.inf  # in the second, at a lower flat index
         path = tmp_path / "f.evf"
-        rep.save_evf(path, rep.FrameTensor(values))
+        path.write_bytes(rep.write_evf(rep.FrameTensor(values)))
         with open(path, "rb") as f, pytest.raises(NonFiniteValue) as exc:
             for _ in rep.read_evf_bands(f, *rep.read_evf_header(f), 3):
                 pass
@@ -358,9 +334,9 @@ class TestEvfContainer:
     def test_channel_count_beyond_u16_rejected_before_the_file(self, tmp_path):
         path = tmp_path / "wide.evf"
         with pytest.raises(ValueError, match="65535 channels"):
-            rep.save_evf(path, rep.FrameTensor(np.zeros((65536, 1, 1), dtype=np.uint16)))
+            rep.create_evf(path, np.dtype(np.uint16), (65536, 1, 1))
         assert not path.exists()
-        rep.save_evf(path, rep.FrameTensor(np.zeros((65535, 1, 1), dtype=np.uint16)))
+        os.close(rep.create_evf(path, np.dtype(np.uint16), (65535, 1, 1)))
         assert rep.read_evf(path.read_bytes()).shape == (65535, 1, 1)
 
     def test_bad_magic_and_truncation(self):
@@ -396,15 +372,3 @@ class TestEvfContainer:
     def test_rejects_other_dtypes(self):
         with pytest.raises(ValueError):
             rep.write_evf(rep.FrameTensor(np.zeros((1, 2, 2), dtype=np.float64)))
-
-    def test_save_writes_the_same_bytes(self, rng, tmp_path):
-        values = rng.normal(size=(3, 5, 14)).astype(np.float32)
-        frames = [values, values[:, :, ::2], np.asfortranarray(values),
-                  rng.integers(0, 2**16, (2, 4, 6)).astype(np.uint16)]
-        for k, v in enumerate(frames):
-            frame = rep.FrameTensor(v)
-            rep.save_evf(tmp_path / f"{k}.evf", frame)
-            assert (tmp_path / f"{k}.evf").read_bytes() == rep.write_evf(frame)
-        with pytest.raises(ValueError):
-            rep.save_evf(tmp_path / "bad.evf",
-                         rep.FrameTensor(np.zeros((1, 2, 2), dtype=np.float64)))
