@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import shutil
@@ -156,16 +157,22 @@ def _frame_name(k: int) -> str:
 # --- convert -----------------------------------------------------------------------
 
 
-def _check_space(out_dir: Path, n_frames: int, frame_size: int) -> None:
-    """Fail before anything is written when the frames cannot fit where out_dir goes."""
+def _check_space(out_dir: Path, n_frames: int, n_empty: int, frame_size: int) -> None:
+    """Fail before anything is written when the frames cannot fit where out_dir goes.
+
+    The first `n_empty` of the frames come before the first event: each is a
+    header and a hole, which takes one filesystem block.
+    """
     probe = out_dir.absolute()
     while not probe.exists():
         probe = probe.parent
     free = shutil.disk_usage(probe).free
-    if n_frames * frame_size > free:
+    block = os.statvfs(probe).f_frsize
+    need = (n_frames - n_empty) * frame_size + n_empty * block
+    if need > free:
         raise InsufficientSpace(
-            f"{n_frames} frames of {frame_size} bytes need {n_frames * frame_size} bytes, "
-            f"but {probe} has {free} free")
+            f"{n_frames - n_empty} frames of {frame_size} bytes and {n_empty} empty frames "
+            f"of {block} bytes need {need} bytes, but {probe} has {free} free")
 
 
 def _box_ranges(boxes: list[codec.AnnotatedBox], spans: list[tuple[int, int]]) -> np.ndarray:
@@ -181,9 +188,13 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
     with read_recording(args.input, cfg.geometry) as rec:
         counter = BinCounter(rec.geometry, cfg.hist, factor=cfg.downscale_factor,
                              method=cfg.downscale_method, pad_multiple=cfg.pad_multiple)
-        n_windows = 0 if rec.first_t is None else window_count(
-            rec.first_t, rec.last_t, cfg.hist.t_frame, args.t_start)
-        _check_space(out_dir, n_windows, counter.size)
+        n_windows = n_empty = 0
+        if rec.first_t is not None:
+            n_windows = window_count(rec.first_t, rec.last_t, cfg.hist.t_frame, args.t_start)
+            # The windows before the first event's.  A last record earlier than
+            # the first (a fault found as it is read) can count fewer windows.
+            n_empty = min((rec.first_t - args.t_start) // cfg.hist.t_frame, n_windows)
+        _check_space(out_dir, n_windows, n_empty, counter.size)
         bins = stream_windows(rec.chunks(), cfg.hist.t_frame, args.t_start, cfg.hist.n_bins)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.annotations:
@@ -223,8 +234,8 @@ def cmd_convert(args, cfg: PipelineConfig) -> int:
                         os.close(files.pop(k)[0])
 
         # This thread is one of the workers, so one worker starts no thread,
-        # and no more workers start than there are windows.
-        workers = min(cfg.threads, n_windows)
+        # and no more workers start than there are bins.
+        workers = min(cfg.threads, n_windows * cfg.hist.n_bins)
         try:
             with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
                 helpers = [pool.submit(work) for _ in range(workers - 1)]
@@ -272,6 +283,7 @@ def cmd_stats(args, cfg: PipelineConfig) -> int:
             pixels, counts = np.unique(chunk.y.astype(np.uint32) * width + chunk.x,
                                        return_counts=True)
             per_pixel[pixels] += counts
+            del chunk  # released before the next chunk is read
     duration = rec.last_t - rec.first_t + 1 if rec.count else 0
     print(f"events={rec.count}")
     print(f"duration_us={duration}")
@@ -370,12 +382,16 @@ def cmd_plan(args, cfg: PipelineConfig) -> int:
         indices, cfg.clip_len, cfg.n_random, cfg.n_sequential,
         rng=np.random.default_rng(cfg.seed),
     )
-    text = sampler.format_plan(batches)
+    # Each batch is written as it is planned, so only one is held.
+    n_batches = n_entries = 0
+    with (open(args.output, "w", encoding="ascii") if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
+        for batch in batches:
+            out.write(sampler.format_batch(n_batches, batch))
+            n_batches += 1
+            n_entries += len(batch)
     if args.output:
-        Path(args.output).write_text(text, encoding="ascii")
-        print(f"planned batches={len(batches)} entries={sum(len(b) for b in batches)}")
-    else:
-        sys.stdout.write(text)
+        print(f"planned batches={n_batches} entries={n_entries}")
     return 0
 
 

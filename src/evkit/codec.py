@@ -16,8 +16,9 @@ Two event containers are supported:
   bits 14-27 and polarity in bits 28-31 (nonzero means positive).
 
 Both containers have fixed-size records after their header, so one chunk
-reader decodes and checks CHUNK records at a time, from a `Recording`'s file
-or from the byte buffer that `decode_evs` / `decode_dat` are given.
+reader decodes and checks CHUNK_BYTES of records at a time (149,796 EVS or
+262,144 DAT records), from a `Recording`'s file or from the byte buffer that
+`decode_evs` / `decode_dat` are given.
 
 Annotations use a line-delimited text format (one ``key=value`` record per
 line) so golden files stay diffable.
@@ -58,7 +59,9 @@ EVS_RECORD_SIZE = EVS_RECORD_DTYPE.itemsize  # 14 bytes
 DAT_RECORD_SIZE = 8
 DAT_EVENT_TYPES = (0x00, 0x0C)  # 2D and CD events share the record layout
 
-CHUNK = 2**18  # records a Recording reads, decodes and checks at a time
+# Bytes of records read, decoded and checked at a time: CHUNK_BYTES // itemsize
+# records, so an EVS chunk of 14-byte records costs what a DAT chunk of 8 does.
+CHUNK_BYTES = 2**21
 
 # The decoders read p and the EVS reserved byte as one little-endian u16
 # (p is the low byte), and a DAT record as its timestamp and the packed
@@ -251,16 +254,18 @@ def _decode(records: np.ndarray, body: _Body, origin: int = 0, offset: int = 0) 
 
 
 def _read_chunks(fh: BinaryIO, body: _Body) -> Iterator[EventStream]:
-    """Decode and check `body`'s records, CHUNK at a time, each chunk against the
-    one before it; a fault is raised at its record's index in the file.  `fh` is
-    a file or an `io.BytesIO`, and may be moved between chunks."""
+    """Decode and check `body`'s records, CHUNK_BYTES of them at a time, each
+    chunk against the one before it; a fault is raised at its record's index in
+    the file.  `fh` is a file or an `io.BytesIO`, and may be moved between chunks."""
     # Chunk-sized temporaries beat whole-body ones: on a 2-core Xeon VM, 5 M
-    # random gen1 events decoded in 0.10 s this way against 0.13 s with one
-    # `_decode` call over the whole body (median of 7, alternating).
+    # random gen1 EVS events decoded in 0.053-0.060 s this way against
+    # 0.078-0.088 s with one `_decode` call over the whole body (median of 7,
+    # alternating, in each of six runs).
     size = body.dtype.itemsize
+    per_chunk = CHUNK_BYTES // size
     origin = 0
-    for lo in range(0, body.count, CHUNK):
-        want = min(CHUNK, body.count - lo)
+    for lo in range(0, body.count, per_chunk):
+        want = min(per_chunk, body.count - lo)
         fh.seek(body.offset + lo * size)
         raw = fh.read(want * size)
         if len(raw) < want * size:
@@ -285,14 +290,15 @@ def _decode_buffer(data: bytes, body: _Body) -> EventStream:
 
 
 class Recording:
-    """An EVS or DAT file, read CHUNK records at a time.
+    """An EVS or DAT file, read CHUNK_BYTES of records at a time.
 
     Opening it reads the header (the magic picks the container), the first
-    chunk and the last record's timestamp, so a fault in the header or the
-    first chunk is raised before a caller writes anything.  `chunks()` then
-    yields every chunk once, in file order, each decoded and checked against
-    the one before it; a fault is raised at its record's index in the file.
-    Use it as a context manager to close the file.
+    chunk (149,796 EVS or 262,144 DAT records) and the last record's
+    timestamp, so a fault in the header or the first chunk is raised before a
+    caller writes anything.  `chunks()` then yields every chunk once, in file
+    order, each decoded and checked against the one before it; a fault is
+    raised at its record's index in the file.  Use it as a context manager to
+    close the file.
     """
 
     def __init__(self, path: str | PathLike, geometry: SensorGeometry | None = None):
@@ -327,7 +333,7 @@ class Recording:
         return self._body.count
 
     def chunks(self) -> Iterator[EventStream]:
-        """The recording's events, CHUNK at a time; may be iterated once."""
+        """The recording's events, a chunk at a time; may be iterated once."""
         if self._head is not None:
             yield self._head
             self._head = None  # released before the next chunk is read

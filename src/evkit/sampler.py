@@ -11,8 +11,9 @@ can mask them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def plan_epoch(
     n_random: int,
     n_sequential: int,
     rng: np.random.Generator | int | None = None,
-) -> list[Batch]:
+) -> Iterator[Batch]:
     """Schedule one epoch of batches of n_random + n_sequential clips.
 
     Random entries draw (sequence, start) uniformly with replacement and
@@ -74,6 +75,9 @@ def plan_epoch(
     permutation of the sequences, resetting memory exactly at sequence
     starts; the epoch ends when every sequential slot is exhausted, or with
     no sequential slot after ceil(total clips / n_random) batches.
+
+    The arguments are checked and the permutation drawn at the call; the
+    batches are then planned one at a time as they are iterated.
     """
     if not indices:
         raise EmptyDataset("no sequences to plan over")
@@ -88,22 +92,24 @@ def plan_epoch(
     slots = [_sequential_slot(queue, clip_len, n_random + i) for i in range(n_sequential)]
     n_clips = sum(-(-ix.n_frames // clip_len) for ix in indices)
 
-    batches: list[Batch] = []
-    while True:
-        # Slots pop sequences in slot order and draw no random numbers.
-        sequential = [next(slot, None) for slot in slots]
-        if slots:
-            done = all(e is None for e in sequential)
-        else:  # a random-only epoch holds as many clips as the sequences cut into
-            done = len(batches) * n_random >= n_clips
-        if done:
-            return batches
-        batch: Batch = [
-            _random_entry(indices, clip_len, slot, rng) for slot in range(n_random)
-        ]
-        for slot, entry in enumerate(sequential, start=n_random):
-            batch.append(entry or ClipEntry(None, 0, clip_len, True, slot, pad=clip_len))
-        batches.append(batch)
+    def batches() -> Iterator[Batch]:
+        for n_batches in itertools.count():
+            # Slots pop sequences in slot order and draw no random numbers.
+            sequential = [next(slot, None) for slot in slots]
+            if slots:
+                done = all(e is None for e in sequential)
+            else:  # a random-only epoch holds as many clips as the sequences cut into
+                done = n_batches * n_random >= n_clips
+            if done:
+                return
+            batch: Batch = [
+                _random_entry(indices, clip_len, slot, rng) for slot in range(n_random)
+            ]
+            for slot, entry in enumerate(sequential, start=n_random):
+                batch.append(entry or ClipEntry(None, 0, clip_len, True, slot, pad=clip_len))
+            yield batch
+
+    return batches()
 
 
 def _sequential_slot(
@@ -132,16 +138,17 @@ def _random_entry(
 # --- line-format serialization -------------------------------------------------
 
 
-def format_plan(batches: list[Batch]) -> str:
-    lines = []
-    for b, batch in enumerate(batches):
-        for e in batch:
-            seq = "-" if e.seq_id is None else e.seq_id
-            lines.append(
-                f"batch={b} slot={e.slot} seq={seq} start={e.start} "
-                f"len={e.length} reset={int(e.reset_memory)} pad={e.pad}"
-            )
-    return "".join(line + "\n" for line in lines)
+def format_batch(b: int, batch: Batch) -> str:
+    """The plan lines of batch number `b`."""
+    return "".join(
+        f"batch={b} slot={e.slot} seq={'-' if e.seq_id is None else e.seq_id} "
+        f"start={e.start} len={e.length} reset={int(e.reset_memory)} pad={e.pad}\n"
+        for e in batch
+    )
+
+
+def format_plan(batches: Iterable[Batch]) -> str:
+    return "".join(format_batch(b, batch) for b, batch in enumerate(batches))
 
 
 def parse_plan(text: str) -> list[Batch]:

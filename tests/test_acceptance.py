@@ -121,7 +121,7 @@ def test_criterion_03_codec(tmp_path):
     seq_path = tmp_path / "sequences.txt"
     write_sequence_index(seq_path, [SequenceIndex("a", 5, (True, False) * 2 + (True,)),
                                     SequenceIndex("b", 3)])
-    plan = plan_epoch([SequenceIndex("a", 5), SequenceIndex("b", 3)], 2, 1, 1, rng=0)
+    plan = list(plan_epoch([SequenceIndex("a", 5), SequenceIndex("b", 3)], 2, 1, 1, rng=0))
     blob, manifest = save_params(ConvLSTMParams.random(2, 3, kernel_size=1, rng=0))
 
     def from_file(path, read):
@@ -280,7 +280,7 @@ def test_criterion_05_augmentation():
 
 def test_criterion_06_sampler():
     indices = [SequenceIndex(f"seq{k:02d}", 100) for k in range(10)]
-    batches = plan_epoch(indices, clip_len=10, n_random=4, n_sequential=4, rng=106)
+    batches = list(plan_epoch(indices, clip_len=10, n_random=4, n_sequential=4, rng=106))
     for batch in batches:
         assert len(batch) == 8
         assert all(e.reset_memory for e in batch[:4])

@@ -3,10 +3,12 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import shutil
 import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,10 @@ from evkit.sampler import parse_plan
 
 from conftest import make_stream, traced_peak
 from oracles import convert_window
+
+# Records in one chunk of each container.
+EVS_CHUNK = codec.CHUNK_BYTES // codec.EVS_RECORD_SIZE
+DAT_CHUNK = codec.CHUNK_BYTES // codec.DAT_RECORD_SIZE
 
 
 def synth_recording(path: Path, seed=0, n=20_000, duration_us=1_000_000,
@@ -258,10 +264,10 @@ class TestConvert:
         assert len(tree_hash(fresh)) == 3
         assert tree_hash(used) == tree_hash(fresh)
 
-    def test_workers_start_at_most_one_per_window(self, tmp_path, monkeypatch):
+    def test_workers_start_at_most_one_per_bin(self, tmp_path, monkeypatch):
         rec = tmp_path / "rec.evs"
-        synth_recording(rec, n=200, duration_us=100_000)  # two 50 ms windows
-        cfgf = str(tiny_config(tmp_path / "cfg.ini"))
+        synth_recording(rec, n=200, duration_us=50_000)  # one 50 ms window
+        cfgf = str(tiny_config(tmp_path / "cfg.ini", "[histogram]\nn_bins = 2\n"))
         pools = []
 
         class CountingPool(cli.ThreadPoolExecutor):
@@ -275,31 +281,39 @@ class TestConvert:
                 return super().submit(*args, **kwargs)
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
-        for threads in (1, 8):
+        for threads in (1, 2, 3, 8):
             assert cli.main(["convert", str(rec), "--output", str(tmp_path / f"o{threads}"),
                              "--config", cfgf, "--threads", str(threads)]) == 0
-        # This thread and one helper: one per window.
-        assert [(pool.max_workers, pool.submits) for pool in pools] == [(1, 0), (1, 1)]
-        assert len(list((tmp_path / "o8").glob("frame_*.evf"))) == 2
-        assert tree_hash(tmp_path / "o1") == tree_hash(tmp_path / "o8")
+        # This thread and its helpers: one worker per thread, up to one per bin.
+        assert [(pool.max_workers, pool.submits) for pool in pools] == [
+            (1, 0), (1, 1), (1, 1), (1, 1)]
+        assert len(list((tmp_path / "o8").glob("frame_*.evf"))) == 1
+        for threads in (2, 3, 8):
+            assert tree_hash(tmp_path / "o1") == tree_hash(tmp_path / f"o{threads}")
 
     def test_workers_share_the_window_stream(self, tmp_path):
         # Four workers (more than the cores) pull 1,200 windows spanning three
-        # chunks from one stream while threads switch every microsecond: every
-        # frame and index line must match the one-thread output.
-        rec = tmp_path / "rec.evs"
-        synth_recording(rec, n=3 * codec.CHUNK, duration_us=60_000_000)
-        cfgf = str(tiny_config(tmp_path / "cfg.ini"))
+        # chunks from one stream, and then the 50 bins of one window of three
+        # chunks, while threads switch every microsecond: every frame and
+        # index line must match the one-thread output.
+        cases = {"windows": (60_000_000, "", 1200),
+                 "bins": (50_000, "[histogram]\nn_bins = 50\n", 1)}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for threads in (1, 4):
-                assert cli.main(["convert", str(rec), "--output", str(tmp_path / f"o{threads}"),
-                                 "--config", cfgf, "--threads", str(threads)]) == 0
+            for case, (duration, extra, n_windows) in cases.items():
+                rec = tmp_path / f"{case}.evs"
+                synth_recording(rec, n=3 * EVS_CHUNK, duration_us=duration)
+                cfgf = str(tiny_config(tmp_path / f"{case}.ini", extra))
+                for threads in (1, 4):
+                    assert cli.main(["convert", str(rec), "--output",
+                                     str(tmp_path / f"{case}{threads}"), "--config", cfgf,
+                                     "--threads", str(threads)]) == 0
+                lines = (tmp_path / f"{case}4" / "index.txt").read_text().splitlines()
+                assert len(lines) == n_windows
+                assert tree_hash(tmp_path / f"{case}1") == tree_hash(tmp_path / f"{case}4")
         finally:
             sys.setswitchinterval(interval)
-        assert len((tmp_path / "o4" / "index.txt").read_text().splitlines()) == 1200
-        assert tree_hash(tmp_path / "o1") == tree_hash(tmp_path / "o4")
 
     def test_memory_bounded_by_a_window(self, tmp_path):
         # A 32-window and a 2-window gen1 recording of the same event density:
@@ -408,7 +422,7 @@ class TestStats:
         rec.write_bytes(codec.encode_evs(s))
         whole = self.stats(rec, capsys)
         # Read as four chunks, the last of one event.
-        monkeypatch.setattr(codec, "CHUNK", 1_000)
+        monkeypatch.setattr(codec, "CHUNK_BYTES", 1_000 * codec.EVS_RECORD_SIZE)
         assert self.stats(rec, capsys) == whole
         assert whole["duration_us"] == str(int(s.t[-1]) - int(s.t[0]) + 1)
         # The hottest pixel's count is only right if the table carries across chunks.
@@ -475,7 +489,8 @@ def run_ok(argv: list[str]) -> None:
 
 
 class TestChunkedInput:
-    """convert and stats read codec.CHUNK records at a time."""
+    """convert and stats read codec.CHUNK_BYTES of records at a time: EVS_CHUNK
+    EVS or DAT_CHUNK DAT records."""
 
     GEOMETRY = SensorGeometry(32, 24)
     TINY_FRAME = 20 * 32 * 32 * 2  # one padded frame of tiny_config
@@ -493,23 +508,24 @@ class TestChunkedInput:
         *(("evs", field) for field in FAULTS), ("dat", "t"), ("dat", "x"), ("dat", "y"),
     ])
     def test_fault_at_chunk_two_matches_decoder(self, tmp_path, capsys, container, field):
-        n = codec.CHUNK + 100
+        chunk = EVS_CHUNK if container == "evs" else DAT_CHUNK
+        n = chunk + 100
         stream = make_stream(np.random.default_rng(5), n, self.GEOMETRY, 1_000_000, t_min=10)
         value, error = self.FAULTS[field]
         if container == "evs":
             records = np.frombuffer(codec.encode_evs(stream), codec.EVS_RECORD_DTYPE,
                                     offset=codec.EVS_HEADER_SIZE).copy()
-            records[field][codec.CHUNK] = value(int(records["t"][codec.CHUNK - 1]))
+            records[field][chunk] = value(int(records["t"][chunk - 1]))
             data = codec.encode_evs(stream)[:codec.EVS_HEADER_SIZE] + records.tobytes()
             decode = codec.decode_evs
         else:
             columns = {f: getattr(stream, f).copy() for f in "txyp"}
-            columns[field][codec.CHUNK] = value(int(columns["t"][codec.CHUNK - 1]))
+            columns[field][chunk] = value(int(columns["t"][chunk - 1]))
             data = dat_bytes(EventStream(self.GEOMETRY, *columns.values(), validate=False))
             decode = codec.decode_dat
         with pytest.raises(error) as exc:
             decode(data)
-        assert exc.value.index == codec.CHUNK
+        assert exc.value.index == chunk
         rec = tmp_path / f"rec.{container}"
         rec.write_bytes(data)
         out = tmp_path / "out"
@@ -518,8 +534,7 @@ class TestChunkedInput:
                       "--config", str(tiny_config(tmp_path / "cfg.ini"))]):
             rc, err = run_cli(argv, capsys)
             assert rc == 1
-            assert re.fullmatch(rf'error code={error.__name__} msg="at index {codec.CHUNK}\b.*\n',
-                                err)
+            assert re.fullmatch(rf'error code={error.__name__} msg="at index {chunk}\b.*\n', err)
         # The windows the first chunk closed are written; the index, written
         # last and needed by augment, is not.
         assert list(out.glob("frame_*.evf"))
@@ -527,8 +542,8 @@ class TestChunkedInput:
 
     def test_dat_wrap_is_not_unwrapped(self, tmp_path, capsys):
         # DAT time wraps after 2**32 us; the first record of chunk 2 wraps to 0.
-        n = codec.CHUNK + 10
-        t = (2**32 - codec.CHUNK + np.arange(n)) % 2**32
+        n = DAT_CHUNK + 10
+        t = (2**32 - DAT_CHUNK + np.arange(n)) % 2**32
         rng = np.random.default_rng(6)
         stream = EventStream(self.GEOMETRY, t, rng.integers(0, 32, n), rng.integers(0, 24, n),
                              rng.integers(0, 2, n), validate=False)
@@ -536,16 +551,16 @@ class TestChunkedInput:
         rec.write_bytes(dat_bytes(stream))
         with pytest.raises(NonMonotoneTimestamp) as exc:
             codec.decode_dat(rec.read_bytes())
-        assert exc.value.index == codec.CHUNK
+        assert exc.value.index == DAT_CHUNK
         for argv in (["stats", str(rec)],
                      ["convert", str(rec), "--output", str(tmp_path / "out"),
                       "--config", str(tiny_config(tmp_path / "cfg.ini"))]):
             rc, err = run_cli(argv, capsys)
             assert rc == 1
-            assert re.fullmatch(rf'error code=NonMonotoneTimestamp msg="at index {codec.CHUNK}'
+            assert re.fullmatch(rf'error code=NonMonotoneTimestamp msg="at index {DAT_CHUNK}'
                                 rf'\b.*\n', err)
         # The last record wraps to t=9, so the space check counted one window;
-        # the ~86,000 windows before the first event at 2**32 - CHUNK are not written.
+        # the ~86,000 windows before the first event at 2**32 - DAT_CHUNK are not written.
         assert len(list((tmp_path / "out").glob("frame_*.evf"))) <= 1
 
     def test_header_and_first_chunk_faults_leave_nothing(self, tmp_path, capsys):
@@ -575,6 +590,23 @@ class TestChunkedInput:
         rc, _ = run_cli(["stats", str(rec)], capsys)
         assert rc == 0
 
+    def test_leading_empty_windows_take_one_block_each(self, tmp_path, capsys, monkeypatch):
+        # The first event is in window 1,000: each window before it is written
+        # as a header and a hole, one filesystem block, not a whole frame.
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(
+            validate_stream([(50_000_000, 1, 1, 1), (50_060_000, 2, 2, 0)], self.GEOMETRY)))
+        cfgf = str(tiny_config(tmp_path / "cfg.ini"))
+        frame = BinCounter(self.GEOMETRY, StackedHistogramConfig(), pad_multiple=32).size
+        need = 2 * frame + 1_000 * os.statvfs(tmp_path).f_frsize
+        for free, rc in ((need - 1, 1), (need, 0)):
+            monkeypatch.setattr(shutil, "disk_usage", lambda _: SimpleNamespace(free=free))
+            out = tmp_path / f"out{rc}"
+            assert run_cli(["convert", str(rec), "--output", str(out), "--config", cfgf],
+                           capsys)[0] == rc
+        assert not (tmp_path / "out1").exists()
+        assert len(list((tmp_path / "out0").glob("frame_*.evf"))) == 1_002
+
     @pytest.mark.parametrize("t_frame, n_bins, times", [
         (10**20, 10, (0, 1, 2, 3)),
         # The last edge, 2**63, would wrap to -2**63 and drop two events.
@@ -599,7 +631,7 @@ class TestChunkedInput:
         # Three chunks over four 50 ms windows, and the same tiled 4x in time:
         # windows span chunk edges, and the longer file repeats the shorter one
         # chunk for chunk.
-        base = make_stream(np.random.default_rng(8), 3 * codec.CHUNK, self.GEOMETRY, 200_000)
+        base = make_stream(np.random.default_rng(8), 3 * EVS_CHUNK, self.GEOMETRY, 200_000)
         paths = {}
         for copies in (1, 4):
             paths[copies] = tmp_path / f"rec{copies}.evs"
@@ -614,9 +646,20 @@ class TestChunkedInput:
                    for copies, path in recs.items()}
         stats = {copies: traced_peak(run_ok, ["stats", str(path), "--config", cfgf])
                  for copies, path in recs.items()}
-        assert "events=3145728" in capsys.readouterr().out
+        assert f"events={12 * EVS_CHUNK}" in capsys.readouterr().out
         assert abs(convert[4] - convert[1]) < self.TINY_FRAME
         assert abs(stats[4] - stats[1]) < self.TINY_FRAME
+
+    def test_stats_memory_is_one_chunk_being_decoded(self, tmp_path):
+        # Three EVS chunks.  stats holds the chunk being decoded: its raw bytes,
+        # its columns (13 bytes a record: t int64, x and y uint16, p uint8) and
+        # the checks' temporaries (at most three bool masks at a time), plus
+        # 256 KB of the command's own state.  The chunk before it is released.
+        rec = tmp_path / "rec.evs"
+        rec.write_bytes(codec.encode_evs(make_stream(
+            np.random.default_rng(13), 3 * EVS_CHUNK, self.GEOMETRY, 3_000_000)))
+        budget = codec.CHUNK_BYTES + (13 + 3) * EVS_CHUNK + 2**18
+        assert traced_peak(run_ok, ["stats", str(rec)]) < budget
 
     def test_memory_at_two_threads_holds_two_windows(self, tmp_path):
         recs = self._recordings(tmp_path)
@@ -646,10 +689,10 @@ class TestChunkedInput:
             assert peaks[copies] - reading < 2 * window
 
 
-    BIN_CONFIG = "[histogram]\nn_bins = 50\n"  # 1 ms bins: at most CHUNK // 4 events here
+    BIN_CONFIG = "[histogram]\nn_bins = 50\n"  # 1 ms bins: at most EVS_CHUNK // 4 events here
 
     def _bounds(self, tmp_path, rec: Path) -> tuple[int, int]:
-        """One chunk's decode, and one bin: a bin of CHUNK // 4 events viewing
+        """One chunk's decode, and one bin: a bin of EVS_CHUNK // 4 events viewing
         a whole chunk's columns, counted and written."""
         def decode():
             with codec.Recording(rec) as recording:
@@ -658,12 +701,12 @@ class TestChunkedInput:
 
         cfg = cli.load_config(str(tiny_config(tmp_path / "bin.ini", self.BIN_CONFIG)))
         counter = BinCounter(self.GEOMETRY, cfg.hist, pad_multiple=cfg.pad_multiple)
-        chunk = make_stream(np.random.default_rng(9), codec.CHUNK, self.GEOMETRY, 1_000)
+        chunk = make_stream(np.random.default_rng(9), EVS_CHUNK, self.GEOMETRY, 1_000)
         fd = counter.create(tmp_path / "bin.evf")
 
         def one_bin():
             p, y, x = (getattr(chunk, f).copy() for f in "pyx")
-            counter.write(fd, 0, *(c[:codec.CHUNK // 4] for c in (p, y, x)), counter.buffer())
+            counter.write(fd, 0, *(c[:EVS_CHUNK // 4] for c in (p, y, x)), counter.buffer())
 
         try:
             return traced_peak(decode), traced_peak(one_bin)
@@ -676,7 +719,7 @@ class TestChunkedInput:
         # and one bin, not the window.
         rec = tmp_path / "rec.evs"
         rec.write_bytes(codec.encode_evs(make_stream(
-            np.random.default_rng(10), int(chunks * codec.CHUNK), self.GEOMETRY, 50_000)))
+            np.random.default_rng(10), int(chunks * EVS_CHUNK), self.GEOMETRY, 50_000)))
         cfgf = str(tiny_config(tmp_path / "cfg.ini", self.BIN_CONFIG))
         out = tmp_path / "out"
         peak = traced_peak(run_ok, ["convert", str(rec), "--output", str(out),
@@ -689,7 +732,7 @@ class TestChunkedInput:
         # Two 50 ms windows of 4.25 chunks each, so both workers run.
         rec = tmp_path / "rec.evs"
         rec.write_bytes(codec.encode_evs(make_stream(
-            np.random.default_rng(11), int(8.5 * codec.CHUNK), self.GEOMETRY, 100_000)))
+            np.random.default_rng(11), int(8.5 * EVS_CHUNK), self.GEOMETRY, 100_000)))
         cfgf = str(tiny_config(tmp_path / "cfg.ini", self.BIN_CONFIG))
         peak = traced_peak(run_ok, ["convert", str(rec), "--output", str(tmp_path / "out"),
                                     "--config", cfgf, "--threads", "2"])
@@ -703,7 +746,7 @@ class TestChunkedInput:
         # 2.3 chunks over 3.5 windows of 10 bins: bins straddle both chunk
         # edges, and the last window ends mid-window, so its last five bins
         # are never streamed.  Each frame is the staged build of its window.
-        stream = make_stream(np.random.default_rng(12), int(2.3 * codec.CHUNK),
+        stream = make_stream(np.random.default_rng(12), int(2.3 * EVS_CHUNK),
                              self.GEOMETRY, 175_000)
         rec = tmp_path / "rec.evs"
         rec.write_bytes(codec.encode_evs(stream))
@@ -726,7 +769,7 @@ class TestChunkedInput:
         # A fault in the last chunk: the windows before it are written, the index is not.
         records = np.frombuffer(rec.read_bytes(), codec.EVS_RECORD_DTYPE,
                                 offset=codec.EVS_HEADER_SIZE).copy()
-        records["x"][2 * codec.CHUNK + 5] = 32
+        records["x"][2 * EVS_CHUNK + 5] = 32
         rec.write_bytes(rec.read_bytes()[:codec.EVS_HEADER_SIZE] + records.tobytes())
         bad = tmp_path / "bad"
         rc, err = run_cli(["convert", str(rec), "--output", str(bad), "--config", str(cfgf),
@@ -1032,6 +1075,19 @@ class TestPlanCommand:
         assert err.count("\n") == 1
         assert err.startswith('error code=ParseError msg="at index 2 (')
         assert not (tmp_path / "plan.txt").exists()
+
+    def test_plan_holds_one_batch(self, tmp_path, capsys):
+        # One sequence of 200,000 frames is 9,524 batches of 8 entries and
+        # 4.3 MB of text.  Each batch is written as it is planned, so the
+        # command holds one, not the epoch's entries and text (over 30 MB).
+        index = tmp_path / "seqs.txt"
+        index.write_text("seq=a frames=200000\n")
+        argv = ["plan", str(index), "--output", str(tmp_path / "plan.txt")]
+        run_ok(argv)  # the modules the command imports are not counted below
+        assert traced_peak(run_ok, argv) < 2**20
+        assert capsys.readouterr().out == "planned batches=9524 entries=76192\n" * 2
+        lines = (tmp_path / "plan.txt").read_text().splitlines()
+        assert len(lines) == 76_192 and lines[-1].startswith("batch=9523 slot=7 ")
 
 
 class TestEvaluateCommand:

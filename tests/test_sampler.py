@@ -57,8 +57,8 @@ def check_sequential_coverage(batches, indices, clip_len, n_random, n_sequential
 
 class TestPlanEpoch:
     def test_batch_composition_4_plus_4(self):
-        batches = plan_epoch(synthetic_index(), clip_len=21, n_random=4,
-                             n_sequential=4, rng=0)
+        batches = list(plan_epoch(synthetic_index(), clip_len=21, n_random=4,
+                                  n_sequential=4, rng=0))
         assert batches
         for batch in batches:
             assert len(batch) == 8
@@ -67,15 +67,15 @@ class TestPlanEpoch:
             assert sorted(e.slot for e in batch) == list(range(8))
 
     def test_single_sequence_single_clip(self):
-        batches = plan_epoch([SequenceIndex("only", 21)], clip_len=21,
-                             n_random=0, n_sequential=1, rng=0)
+        batches = list(plan_epoch([SequenceIndex("only", 21)], clip_len=21,
+                                  n_random=0, n_sequential=1, rng=0))
         assert len(batches) == 1
         (entry,) = batches[0]
         assert entry == ClipEntry("only", 0, 21, True, 0, 0)
 
     def test_cursor_simulation_oracle(self):
         indices = synthetic_index(10, 100)
-        batches = plan_epoch(indices, clip_len=10, n_random=4, n_sequential=4, rng=3)
+        batches = list(plan_epoch(indices, clip_len=10, n_random=4, n_sequential=4, rng=3))
         check_sequential_coverage(batches, indices, 10, 4, 4)
         covered = sum(
             e.length - e.pad for b in batches for e in b[4:] if e.seq_id is not None
@@ -84,32 +84,32 @@ class TestPlanEpoch:
 
     def test_uneven_lengths_still_cover_once(self):
         indices = [SequenceIndex(f"s{k}", 10 + 17 * k) for k in range(7)]
-        batches = plan_epoch(indices, clip_len=8, n_random=2, n_sequential=3, rng=5)
+        batches = list(plan_epoch(indices, clip_len=8, n_random=2, n_sequential=3, rng=5))
         check_sequential_coverage(batches, indices, 8, 2, 3)
 
     def test_short_sequences_padded(self):
         indices = [SequenceIndex("short", 5)]
-        batches = plan_epoch(indices, clip_len=21, n_random=0, n_sequential=1, rng=0)
+        batches = list(plan_epoch(indices, clip_len=21, n_random=0, n_sequential=1, rng=0))
         (entry,) = batches[0]
         assert entry.start == 0 and entry.pad == 16 and entry.reset_memory
 
     def test_reset_exactly_at_sequence_starts(self):
         indices = synthetic_index(3, 30)
-        batches = plan_epoch(indices, clip_len=10, n_random=0, n_sequential=1, rng=1)
+        batches = list(plan_epoch(indices, clip_len=10, n_random=0, n_sequential=1, rng=1))
         seq_entries = [e for b in batches for e in b if e.seq_id is not None]
         resets = [e.reset_memory for e in seq_entries]
         assert resets == [True, False, False] * 3
 
     def test_deterministic_under_seed(self):
-        a = plan_epoch(synthetic_index(), 21, 4, 4, rng=42)
-        b = plan_epoch(synthetic_index(), 21, 4, 4, rng=42)
+        a = list(plan_epoch(synthetic_index(), 21, 4, 4, rng=42))
+        b = list(plan_epoch(synthetic_index(), 21, 4, 4, rng=42))
         assert a == b
-        c = plan_epoch(synthetic_index(), 21, 4, 4, rng=43)
+        c = list(plan_epoch(synthetic_index(), 21, 4, 4, rng=43))
         assert a != c
 
     def test_random_starts_within_bounds(self):
         indices = synthetic_index(4, 50)
-        batches = plan_epoch(indices, clip_len=21, n_random=6, n_sequential=1, rng=9)
+        batches = list(plan_epoch(indices, clip_len=21, n_random=6, n_sequential=1, rng=9))
         frames = {ix.seq_id: ix.n_frames for ix in indices}
         for batch in batches:
             for e in batch[:6]:
@@ -118,7 +118,7 @@ class TestPlanEpoch:
 
     def test_random_only_epoch(self):
         indices = synthetic_index(2, 40)
-        batches = plan_epoch(indices, clip_len=10, n_random=4, n_sequential=0, rng=0)
+        batches = list(plan_epoch(indices, clip_len=10, n_random=4, n_sequential=0, rng=0))
         # one epoch's worth: ceil(total_clips / n_random) batches
         assert len(batches) == 2
         assert all(len(b) == 4 for b in batches)
@@ -130,13 +130,13 @@ class TestPlanEpoch:
 
 class TestSerialization:
     def test_roundtrip(self):
-        batches = plan_epoch(synthetic_index(5, 37), clip_len=10, n_random=2,
-                             n_sequential=2, rng=8)
+        batches = list(plan_epoch(synthetic_index(5, 37), clip_len=10, n_random=2,
+                                  n_sequential=2, rng=8))
         assert parse_plan(format_plan(batches)) == batches
 
     def test_idle_entries_roundtrip(self):
         indices = [SequenceIndex("a", 40), SequenceIndex("b", 10)]
-        batches = plan_epoch(indices, clip_len=10, n_random=0, n_sequential=2, rng=0)
+        batches = list(plan_epoch(indices, clip_len=10, n_random=0, n_sequential=2, rng=0))
         assert any(e.seq_id is None for b in batches for e in b)
         assert parse_plan(format_plan(batches)) == batches
 
